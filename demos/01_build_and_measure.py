@@ -8,7 +8,7 @@ edges, at most one edge per direction per layer.  This walkthrough
 builds small networks by hand and looks at the two edge measures.
 """
 
-from clecc import MultiLayerNetwork, clecc, demo_network, ecc
+from clecc import MultiLayerNetwork, clecc, clecc_table, demo_network, ecc
 
 # ----------------------------------------------------------------------
 # The five-user demo network: one layer, eight directed edges.  x-y,
@@ -40,8 +40,9 @@ print("MN(x, 1) =", sorted(two.multilayer_neighborhood("x", 1)))
 print("MN(x, 2) =", sorted(two.multilayer_neighborhood("x", 2)))
 print("MN(y, 2) =", sorted(two.multilayer_neighborhood("y", 2)))
 
-# The alpha=2 flattening keeps only the pairs connected on both layers.
-print("alpha=2 working graph edges:", two.flatten_alpha(2).edges())
+# The alpha=2 flattening keeps only the pairs connected on both layers;
+# they are exactly the candidate pairs of the alpha=2 measure table.
+print("alpha=2 flattened pairs:", clecc_table(two, 2).pairs())
 
 # ----------------------------------------------------------------------
 # ECC: the single-layer baseline.  On a triangle every edge closes its

@@ -40,6 +40,7 @@ from .errors import (
     InconsistentTableError,
     InvalidParamsError,
     MalformedLineError,
+    MalformedPartitionError,
     NotAdjacentError,
     OracleMismatchError,
     SelfLoopError,
@@ -64,14 +65,13 @@ from .generators import (
     generate_planted,
 )
 from .measures import CleccTable, clecc, clecc_table, ecc, update_after_removal
-from .network import FlatGraph, MultiLayerNetwork
+from .network import MultiLayerNetwork
 from .reference import naive_clecc, naive_detect
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MultiLayerNetwork",
-    "FlatGraph",
     "CleccTable",
     "ecc",
     "clecc",
@@ -119,6 +119,7 @@ __all__ = [
     "EmptyNetworkError",
     "InvalidParamsError",
     "MalformedLineError",
+    "MalformedPartitionError",
     "DomainMismatchError",
     "OracleMismatchError",
     "__version__",

@@ -132,6 +132,8 @@ def _cmd_detect(args) -> str:
         if args.seed is not None:
             raise UsageError("--seed only applies with --ties random")
         policy = Lexicographic()
+    if not args.delimiter:
+        raise UsageError("--delimiter must not be empty")
     if args.oracle and args.ties != "lex":
         raise UsageError("--oracle needs --ties lex (random runs are not comparable)")
     config = DetectionConfig(

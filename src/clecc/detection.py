@@ -7,7 +7,7 @@ undirected graph whose edges are the node pairs connected on at least
 1. looks up the candidate pair with the lowest cross-layer edge
    clustering value (ties broken lexicographically or by a seeded
    uniform draw),
-2. deletes all layer edges between that pair from a working copy,
+2. drops that pair from the alpha-flattened adjacency,
 3. repairs the value table incrementally (only entries containing one
    of the two endpoints can change), and
 4. when the deletion separates a working component, checks each side
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import EmptyNetworkError, InvalidParamsError
-from .measures import CleccTable, clecc_table, _update_after_removal_idx
+from .measures import CleccTable, _repair, clecc_table
 from .network import MultiLayerNetwork
 
 __all__ = [
@@ -279,8 +279,8 @@ def _full_component(adj: list[set[int]], start: int) -> set[int]:
 def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionResult:
     """Run the divisive algorithm and return the extracted partition.
 
-    The input network is never mutated; removals happen on a private
-    working copy while validity is judged against the original.  With
+    The input network is never mutated: removals only drop pairs from
+    the alpha adjacency, and validity is judged on the input.  With
     ``Lexicographic`` ties the run is fully deterministic; with
     ``SeededRandom`` it is a pure function of the seed.
     """
@@ -293,10 +293,9 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
     else:
         rng = None
 
-    work = net.copy()
-    table = clecc_table(work, config.alpha)
-    adj = work._alpha_adjacency(config.alpha)
-    labels = work._node_labels
+    table = clecc_table(net, config.alpha)
+    adj = net._alpha_adjacency(config.alpha)
+    labels = net._node_labels
     flat1: list[set[int]] | None = None  # built on first weak/strong check
 
     frozen = [False] * n
@@ -324,13 +323,19 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
         step += 1
         i, j = _select_min_idx(table, config.tie_policy, rng)
         value = table._values[(i, j)]
-        edges_removed = work._remove_pair_edges_idx(i, j)
-        _update_after_removal_idx(table, work, (i, j))
         adj[i].discard(j)
         adj[j].discard(i)
+        # rebuild both endpoint sets in the input's neighbour order, as a
+        # fresh neighbourhood query would: that keeps the repair's visit
+        # order, which fixes the order in which pairs enter each value
+        # bucket and so every SeededRandom draw
+        for e in (i, j):
+            adj[e] = {z for z in net._nbr_layers[e] if z in adj[e]}
+        _repair(table, adj, (i, j))
         if config.log_removals:
             a, b = labels[i], labels[j]
             pair = (a, b) if a < b else (b, a)
+            edges_removed = net._pair_edge_count(i, j)
             removals.append(RemovalRecord(step, pair, float(value), edges_removed))
 
         split = _split_components(adj, i, j)

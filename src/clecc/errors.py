@@ -61,6 +61,10 @@ class MalformedLineError(CleccError):
         self.line = line
 
 
+class MalformedPartitionError(CleccError, ValueError):
+    """Partition JSON is not valid JSON or not in the groups + singletons shape."""
+
+
 class DomainMismatchError(CleccError):
     """Two partitions do not cover the same node set."""
 

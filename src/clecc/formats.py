@@ -23,6 +23,7 @@ from .detection import DetectionResult, SeededRandom, validity_tag
 from .errors import (
     DuplicateEdgeError,
     MalformedLineError,
+    MalformedPartitionError,
     SelfLoopError,
 )
 from .network import MultiLayerNetwork
@@ -197,18 +198,25 @@ def partition_from_json(text: str) -> list[set[str]]:
     """Read a partition from JSON in the ``groups`` + ``singletons`` shape.
 
     Accepts both a bare partition document and a full detection result
-    (any extra keys are ignored).
+    (any extra keys are ignored); a group is an object with a ``nodes``
+    list, or a bare list.  Other shapes raise :class:`MalformedPartitionError`.
     """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from None
+        raise MalformedPartitionError(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise ValueError("partition JSON must be an object")
+        raise MalformedPartitionError("partition JSON must be an object")
+    groups = payload.get("groups", [])
+    singletons = payload.get("singletons", [])
+    if not isinstance(groups, list) or not isinstance(singletons, list):
+        raise MalformedPartitionError('"groups" and "singletons" must be lists')
     blocks: list[set[str]] = []
-    for group in payload.get("groups", []):
-        nodes = group["nodes"] if isinstance(group, dict) else group
+    for position, group in enumerate(groups):
+        nodes = group.get("nodes") if isinstance(group, dict) else group
+        if not isinstance(nodes, list):
+            raise MalformedPartitionError(f"group {position} has no list of nodes")
         blocks.append({str(n) for n in nodes})
-    for singleton in payload.get("singletons", []):
+    for singleton in singletons:
         blocks.append({str(singleton)})
     return blocks

@@ -261,22 +261,22 @@ def update_after_removal(
             f"pair ({x!r}, {y!r}) has no table entry; the table does not "
             "match the network this removal was applied to"
         )
-    _update_after_removal_idx(table, net, key)
+    alpha = table.alpha
+    mn = {z: net._mn_idx(z, alpha) for e in key for z in (e, *net._mn_idx(e, alpha))}
+    _repair(table, mn, key)
     return table
 
 
-def _update_after_removal_idx(
-    table: CleccTable, net: MultiLayerNetwork, key: tuple[int, int]
-) -> None:
+def _repair(table: CleccTable, mn, key: tuple[int, int]) -> None:
+    """Drop ``key`` and recompute every entry containing one of its nodes.
+
+    ``mn[v]`` (a list or dict) is node v's current neighbourhood, for both
+    endpoints and all their neighbours; entries are rewritten in the
+    iteration order of the endpoints' sets.
+    """
     table._delete(key)
-    alpha = table.alpha
-    mn_cache: dict[int, set[int]] = {}
     for e in key:
-        mn_e = net._mn_idx(e, alpha)
+        mn_e = mn[e]
         for z in mn_e:
-            mn_z = mn_cache.get(z)
-            if mn_z is None:
-                mn_z = mn_cache[z] = net._mn_idx(z, alpha)
             pair = (e, z) if e < z else (z, e)
-            table._set(pair, _candidate_value(mn_e, mn_z))
-        mn_cache[e] = mn_e
+            table._set(pair, _candidate_value(mn_e, mn[z]))

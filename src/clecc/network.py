@@ -9,9 +9,7 @@ directed edges in total.
 Neighbourhood queries deliberately ignore edge direction: two nodes
 count as neighbours on a layer as soon as an edge runs between them
 either way.  ``multilayer_neighborhood(x, alpha)`` collects the nodes
-tied to ``x`` on at least ``alpha`` distinct layers, and
-``flatten_alpha`` materialises those pairs as an undirected working
-graph (:class:`FlatGraph`).
+tied to ``x`` on at least ``alpha`` distinct layers.
 
 Externally nodes and layers are identified by opaque string labels;
 internally everything runs on dense integer indices, with a per-node
@@ -21,8 +19,7 @@ threshold queries are single scans rather than per-layer loops.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import (
     AlphaOutOfRangeError,
@@ -32,7 +29,7 @@ from .errors import (
     UnknownNodeError,
 )
 
-__all__ = ["MultiLayerNetwork", "FlatGraph"]
+__all__ = ["MultiLayerNetwork"]
 
 
 class MultiLayerNetwork:
@@ -118,22 +115,13 @@ class MultiLayerNetwork:
         j = self._require_node(y)
         if i == j:
             raise SelfLoopError(f"cannot remove pair edges of {x!r} with itself")
-        return self._remove_pair_edges_idx(i, j)
-
-    def _remove_pair_edges_idx(self, i: int, j: int) -> int:
-        removed = 0
-        for l in range(len(self._layer_labels)):
-            if j in self._out[i][l]:
-                self._out[i][l].remove(j)
-                self._in[j][l].remove(i)
-                removed += 1
-            if i in self._out[j][l]:
-                self._out[j][l].remove(i)
-                self._in[i][l].remove(j)
-                removed += 1
+        removed = self._pair_edge_count(i, j)
+        for a, b in ((i, j), (j, i)):
+            for targets in self._out[a] + self._in[a]:
+                targets.discard(b)
         if removed:
-            self._nbr_layers[i].pop(j, None)
-            self._nbr_layers[j].pop(i, None)
+            self._nbr_layers[i].pop(j)
+            self._nbr_layers[j].pop(i)
             self._edge_count -= removed
         return removed
 
@@ -233,17 +221,6 @@ class MultiLayerNetwork:
                 net.add_edge(labels[x], labels[y], layer)
         return net
 
-    def flatten_alpha(self, alpha: int) -> "FlatGraph":
-        """Undirected simple graph of the pairs connected on >= alpha layers."""
-        self._check_alpha(alpha)
-        labels = self._node_labels
-        flat = FlatGraph(labels)
-        for i, counts in enumerate(self._nbr_layers):
-            for j, c in counts.items():
-                if j > i and c >= alpha:
-                    flat.add_edge(labels[i], labels[j])
-        return flat
-
     def copy(self) -> "MultiLayerNetwork":
         """Independent deep copy (labels, layers, adjacency)."""
         net = MultiLayerNetwork()
@@ -279,6 +256,10 @@ class MultiLayerNetwork:
                 f"{count} layer(s); got {alpha}"
             )
 
+    def _pair_edge_count(self, i: int, j: int) -> int:
+        """Directed edges between node indices i and j, all layers."""
+        return sum(j in targets for targets in self._out[i] + self._in[i])
+
     def _mn_idx(self, i: int, alpha: int) -> set[int]:
         """Multi-layered neighbourhood of node index i, as indices."""
         return {j for j, c in self._nbr_layers[i].items() if c >= alpha}
@@ -290,99 +271,3 @@ class MultiLayerNetwork:
             for counts in self._nbr_layers
         ]
 
-
-class FlatGraph:
-    """Undirected simple graph over string node labels.
-
-    Used as the working graph of the divisive detector and for
-    degree-based group validity checks.  No loops, no parallel edges.
-    """
-
-    def __init__(
-        self,
-        nodes: Iterable[str] = (),
-        edges: Iterable[tuple[str, str]] = (),
-    ):
-        self._adj: dict[str, set[str]] = {}
-        self._edge_count = 0
-        for label in nodes:
-            self.add_node(label)
-        for a, b in edges:
-            self.add_edge(a, b)
-
-    def add_node(self, label: str) -> None:
-        if label not in self._adj:
-            self._adj[label] = set()
-
-    def add_edge(self, a: str, b: str) -> None:
-        """Insert the undirected pair {a, b}; re-inserting is a no-op."""
-        if a == b:
-            raise SelfLoopError(f"self-loop on node {a!r} is not allowed")
-        self.add_node(a)
-        self.add_node(b)
-        if b not in self._adj[a]:
-            self._adj[a].add(b)
-            self._adj[b].add(a)
-            self._edge_count += 1
-
-    @property
-    def node_count(self) -> int:
-        return len(self._adj)
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    def nodes(self) -> list[str]:
-        return list(self._adj)
-
-    def has_node(self, label: str) -> bool:
-        return label in self._adj
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return a in self._adj and b in self._adj[a]
-
-    def neighbors(self, label: str) -> set[str]:
-        try:
-            return set(self._adj[label])
-        except KeyError:
-            raise UnknownNodeError(f"unknown node {label!r}") from None
-
-    def degree(self, label: str) -> int:
-        try:
-            return len(self._adj[label])
-        except KeyError:
-            raise UnknownNodeError(f"unknown node {label!r}") from None
-
-    def edges(self) -> list[tuple[str, str]]:
-        """Sorted list of label pairs, each sorted within the pair."""
-        out = []
-        for a, nbrs in self._adj.items():
-            for b in nbrs:
-                if a < b:
-                    out.append((a, b))
-        out.sort()
-        return out
-
-    def connected_components(self) -> list[set[str]]:
-        """Partition of the nodes into connected components.
-
-        Components are listed by first appearance of a member in node
-        insertion order, so the result is deterministic.
-        """
-        seen: set[str] = set()
-        components: list[set[str]] = []
-        for start in self._adj:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for v in self._adj[u]:
-                    if v not in comp:
-                        comp.add(v)
-                        queue.append(v)
-            seen |= comp
-            components.append(comp)
-        return components

@@ -221,6 +221,36 @@ def test_eval_nmi_domain_mismatch(tmp_path, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize(
+    "text, complaint",
+    [
+        ('{"groups": [{"id": 0}]}', "no list of nodes"),
+        ('{"groups": 5}', "must be lists"),
+        ('{"groups": [', "not valid JSON"),
+    ],
+    ids=["group-without-nodes", "groups-not-a-list", "invalid-json"],
+)
+def test_eval_nmi_malformed_partition(tmp_path, capsys, text, complaint):
+    good = tmp_path / "good.json"
+    bad = tmp_path / "bad.json"
+    good.write_text(json.dumps({"groups": [], "singletons": ["a"]}))
+    bad.write_text(text)
+    code = cli_main(["eval", "nmi", "--truth", str(good), "--predicted", str(bad)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and complaint in out.err
+    assert out.err.count("\n") == 1
+
+
+def test_detect_empty_delimiter(barbell_csv, capsys):
+    code = cli_main(["detect", "--input", barbell_csv, "--alpha", "1", "--delimiter", ""])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert "usage error" in out.err and "--delimiter" in out.err
+
+
 def test_unicode_labels_round_trip(tmp_path, capsys):
     # an isolated dyad always dissolves: its pair is removed (value 1.0
     # by the 0/0 convention) and both size-1 sides become singletons

@@ -7,13 +7,14 @@ import pytest
 from clecc import (
     AlphaOutOfRangeError,
     DuplicateEdgeError,
-    FlatGraph,
     MultiLayerNetwork,
     SelfLoopError,
     UnknownLayerError,
     UnknownNodeError,
+    clecc_table,
     demo_network,
 )
+from clecc.detection import _split_components
 from conftest import barbell, random_network, reciprocal, toy2
 
 
@@ -119,14 +120,13 @@ class TestProjectLayer:
 
 
 class TestFlattenAlpha:
+    """The alpha-flattened pairs: those connected on at least alpha layers."""
+
     def test_toy_alpha2(self):
-        flat = toy2().flatten_alpha(2)
-        assert flat.edges() == [("u", "x"), ("x", "y")]
+        assert clecc_table(toy2(), 2).pairs() == [("u", "x"), ("x", "y")]
 
     def test_alpha1_single_layer(self):
-        net = demo_network()
-        flat = net.flatten_alpha(1)
-        assert flat.edges() == [
+        assert clecc_table(demo_network(), 1).pairs() == [
             ("u", "v"),
             ("u", "z"),
             ("x", "y"),
@@ -138,16 +138,20 @@ class TestFlattenAlpha:
         net = MultiLayerNetwork()
         net.add_edge("a", "b", "l1")
         net.add_edge("b", "c", "l2")
-        assert net.flatten_alpha(2).edge_count == 0
+        assert len(clecc_table(net, 2)) == 0
+        assert all(not net.multilayer_neighborhood(x, 2) for x in net.nodes())
 
     def test_agrees_with_multilayer_neighborhood(self):
         rng = random.Random(5)
         for _ in range(25):
             net = random_network(rng, max_nodes=14, max_layers=3)
             for alpha in range(1, net.layer_count + 1):
-                flat = net.flatten_alpha(alpha)
+                flat = {x: set() for x in net.nodes()}
+                for a, b in clecc_table(net, alpha).pairs():
+                    flat[a].add(b)
+                    flat[b].add(a)
                 for x in net.nodes():
-                    assert flat.neighbors(x) == net.multilayer_neighborhood(x, alpha)
+                    assert flat[x] == net.multilayer_neighborhood(x, alpha)
 
 
 class TestRemovePairEdges:
@@ -176,23 +180,31 @@ class TestRemovePairEdges:
 
 
 class TestConnectedComponents:
+    """Components of the alpha-flattened graph, as the detector splits them."""
+
     def test_barbell_bridge(self):
         net = barbell()
-        assert len(net.flatten_alpha(1).connected_components()) == 1
-        net.remove_pair_edges("c", "d")
-        comps = net.flatten_alpha(1).connected_components()
-        assert sorted(sorted(c) for c in comps) == [["a", "b", "c"], ["d", "e", "f"]]
+        adj = net._alpha_adjacency(1)
+        a, b, c, d = (net.node_index(x) for x in "abcd")
+        for x, y in ((a, b), (c, d)):
+            adj[x].discard(y)
+            adj[y].discard(x)
+        # the path through c still joins a and b
+        assert _split_components(adj, a, b) is None
+        comp_c, comp_d = _split_components(adj, c, d)
+        assert sorted(net.node_label(v) for v in comp_c) == ["a", "b", "c"]
+        assert sorted(net.node_label(v) for v in comp_d) == ["d", "e", "f"]
 
     def test_edgeless(self):
-        flat = FlatGraph(nodes=[f"n{i}" for i in range(5)])
-        comps = flat.connected_components()
-        assert len(comps) == 5
-        assert all(len(c) == 1 for c in comps)
+        adj = [set() for _ in range(5)]
+        assert _split_components(adj, 0, 4) == ({0}, {4})
 
     def test_edge_plus_isolated(self):
-        flat = FlatGraph(nodes=["c"], edges=[("a", "b")])
-        comps = flat.connected_components()
-        assert sorted(sorted(c) for c in comps) == [["a", "b"], ["c"]]
+        # 0-1 joined, 2 isolated; in the second call the search from 1
+        # stops early and its side is completed afterwards
+        adj = [{1}, {0}, set()]
+        assert _split_components(adj, 0, 2) == ({0, 1}, {2})
+        assert _split_components(adj, 2, 1) == ({2}, {0, 1})
 
 
 class TestNeighbourhoodLaws:
