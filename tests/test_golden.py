@@ -7,15 +7,23 @@ with a hash recorded from an earlier version of the library.  Under
 so these hashes also pin the order in which the table repair visits
 pairs: a change to that order changes the random-tie output even when
 every value stays exact.
+
+The shuffled cases run the same instance with its node labels permuted
+but its node indices kept, so label order and index order disagree:
+they pin how the detector maps between the two, both in the
+lexicographic tie-break and in the order in which a pair's endpoints
+are visited.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from clecc import (
     DetectionConfig,
     Lexicographic,
+    MultiLayerNetwork,
     PlantedParams,
     SeededRandom,
     WeakCommunity,
@@ -37,6 +45,41 @@ GOLDEN = {
     (2, SeededRandom(2)): "4d2b866a1da7ac63ff24f44bb8abfff2526263acfc505b00464f66f0012b80f9",
 }
 
+# alpha 1 on a label-shuffled copy of PLANTED (see shuffled_labels)
+GOLDEN_SHUFFLED = {
+    Lexicographic(): "8950d757d72880cbc791c5547ea3e9d85abafc64585e2faddc2c0f9fb49d0904",
+    SeededRandom(1): "296809e6926ca90ac4854a0cdcc59481190bf08d5636f21ebb866474c6b966b4",
+    SeededRandom(2): "3e7927abbd5fd050af7c8f373d7fc505286bb486cc726afe2fd03fcabff87b0b",
+}
+
+
+def shuffled_labels(base: MultiLayerNetwork, seed: int) -> MultiLayerNetwork:
+    """Copy of ``base`` whose node i gets a seeded random new label.
+
+    Nodes are registered in the original index order, so the indices
+    keep the structure while the labels' sort order is permuted.
+    """
+    labels = base.nodes()
+    ranks = list(range(len(labels)))
+    random.Random(seed).shuffle(ranks)
+    rename = {label: f"v{k:03d}" for label, k in zip(labels, ranks)}
+    net = MultiLayerNetwork()
+    for layer in base.layers():
+        net.add_layer(layer)
+    for label in labels:
+        net.add_node(rename[label])
+    for source, target, layer in base.edges():
+        net.add_edge(rename[source], rename[target], layer)
+    return net
+
+
+def result_hash(net: MultiLayerNetwork, alpha: int, policy) -> str:
+    config = DetectionConfig(
+        alpha=alpha, validity=WeakCommunity(), tie_policy=policy, log_removals=True
+    )
+    text = write_result(run_detection(net, config))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def planted_net():
@@ -47,9 +90,14 @@ def planted_net():
     "alpha, policy", list(GOLDEN), ids=[f"a{a}-{p!r}" for a, p in GOLDEN]
 )
 def test_detection_bytes_pinned(planted_net, alpha, policy):
-    config = DetectionConfig(
-        alpha=alpha, validity=WeakCommunity(), tie_policy=policy, log_removals=True
-    )
-    text = write_result(run_detection(planted_net, config))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[(alpha, policy)]
+    assert result_hash(planted_net, alpha, policy) == GOLDEN[(alpha, policy)]
+
+
+@pytest.mark.parametrize(
+    "policy", list(GOLDEN_SHUFFLED), ids=[f"a1-shuffled-{p!r}" for p in GOLDEN_SHUFFLED]
+)
+def test_detection_bytes_pinned_label_shuffled(planted_net, policy):
+    net = shuffled_labels(planted_net, seed=3)
+    assert net.nodes() != sorted(net.nodes())
+    assert result_hash(net, 1, policy) == GOLDEN_SHUFFLED[policy]
 
