@@ -89,6 +89,26 @@ def random_network(rng: random.Random, max_nodes=32, max_layers=4) -> MultiLayer
     return net
 
 
+def shuffled_labels(base: MultiLayerNetwork, seed: int) -> MultiLayerNetwork:
+    """Copy of ``base`` whose node i gets a seeded random new label.
+
+    Nodes are registered in the original index order, so the indices
+    keep the structure while the labels' sort order is permuted.
+    """
+    labels = base.nodes()
+    ranks = list(range(len(labels)))
+    random.Random(seed).shuffle(ranks)
+    rename = {label: f"v{k:03d}" for label, k in zip(labels, ranks)}
+    net = MultiLayerNetwork()
+    for layer in base.layers():
+        net.add_layer(layer)
+    for label in labels:
+        net.add_node(rename[label])
+    for source, target, layer in base.edges():
+        net.add_edge(rename[source], rename[target], layer)
+    return net
+
+
 @pytest.fixture
 def barbell_net():
     return barbell()

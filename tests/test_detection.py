@@ -12,16 +12,19 @@ from clecc import (
     Lexicographic,
     MinSize,
     MultiLayerNetwork,
+    PlantedParams,
     SeededRandom,
     StrongCommunity,
     WeakCommunity,
     clecc_table,
+    generate_planted,
     run_detection,
     select_min_pair,
+    update_after_removal,
     validate_group,
     write_result,
 )
-from conftest import barbell, random_network, triangle
+from conftest import barbell, random_network, shuffled_labels, triangle
 
 
 def groups_sorted(result):
@@ -226,3 +229,31 @@ class TestSelectMinPair:
         net.add_layer("l1")
         with pytest.raises(EmptyTableError):
             select_min_pair(clecc_table(net, 1), Lexicographic())
+
+
+class TestPublicReplay:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_random_run_replays_through_public_repair(self, seed):
+        # label order differs from index order; a never-satisfied validity
+        # keeps every removal in the log, so the replay covers the whole run
+        base = generate_planted(
+            PlantedParams(sizes=(12,) * 4, layers=2, p_in=0.4, p_out=0.03, seed=9)
+        ).network
+        net = shuffled_labels(base, seed=4)
+        config = DetectionConfig(
+            alpha=1,
+            validity=MinSize(net.node_count + 1),
+            tie_policy=SeededRandom(seed),
+        )
+        log = run_detection(net, config).removals
+        assert log and len(log) == len(clecc_table(net, 1))
+
+        work = net.copy()
+        table = clecc_table(work, 1)
+        rng = random.Random(seed)
+        for rec in log:
+            pair = select_min_pair(table, config.tie_policy, rng)
+            assert (pair, float(table.value(*pair))) == (rec.pair, rec.clecc)
+            assert work.remove_pair_edges(*pair) == rec.edges_removed
+            update_after_removal(table, work, *pair)
+        assert table.as_dict() == clecc_table(work, 1).as_dict()

@@ -16,14 +16,12 @@ are visited.
 """
 
 import hashlib
-import random
 
 import pytest
 
 from clecc import (
     DetectionConfig,
     Lexicographic,
-    MultiLayerNetwork,
     PlantedParams,
     SeededRandom,
     WeakCommunity,
@@ -31,6 +29,7 @@ from clecc import (
     run_detection,
     write_result,
 )
+from conftest import shuffled_labels
 
 # six blocks of 25 on three sparse layers: large minimum buckets at
 # alpha 1, several groups and singletons at alpha 2
@@ -53,27 +52,7 @@ GOLDEN_SHUFFLED = {
 }
 
 
-def shuffled_labels(base: MultiLayerNetwork, seed: int) -> MultiLayerNetwork:
-    """Copy of ``base`` whose node i gets a seeded random new label.
-
-    Nodes are registered in the original index order, so the indices
-    keep the structure while the labels' sort order is permuted.
-    """
-    labels = base.nodes()
-    ranks = list(range(len(labels)))
-    random.Random(seed).shuffle(ranks)
-    rename = {label: f"v{k:03d}" for label, k in zip(labels, ranks)}
-    net = MultiLayerNetwork()
-    for layer in base.layers():
-        net.add_layer(layer)
-    for label in labels:
-        net.add_node(rename[label])
-    for source, target, layer in base.edges():
-        net.add_edge(rename[source], rename[target], layer)
-    return net
-
-
-def result_hash(net: MultiLayerNetwork, alpha: int, policy) -> str:
+def result_hash(net, alpha: int, policy) -> str:
     config = DetectionConfig(
         alpha=alpha, validity=WeakCommunity(), tie_policy=policy, log_removals=True
     )

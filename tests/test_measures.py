@@ -20,6 +20,14 @@ from clecc import (
 from conftest import barbell, dyad, path3, random_network, square_diag, toy2, triangle
 
 
+def naive_value(net, x, y, alpha):
+    """|MN(x) & MN(y)| / |(MN(x) | MN(y)) - {x, y}| as a Fraction, 0/0 = 1."""
+    a = net.multilayer_neighborhood(x, alpha)
+    b = net.multilayer_neighborhood(y, alpha)
+    den = len((a | b) - {x, y})
+    return Fraction(len(a & b), den) if den else Fraction(1)
+
+
 class TestEcc:
     def test_triangle(self):
         assert ecc(triangle(), "a", "b") == 2.0
@@ -194,3 +202,46 @@ class TestUpdateAfterRemoval:
                     work.remove_pair_edges(*pair)
                     update_after_removal(table, work, *pair)
                     assert table.as_dict() == clecc_table(work, alpha).as_dict()
+
+
+class TestExactness:
+    def test_farey_floats_strictly_increasing(self):
+        # every value has a denominator of at most n - 2; two distinct
+        # such fractions must map to distinct, ordered floats and back
+        order = 300
+        farey = sorted(
+            {Fraction(p, q) for q in range(1, order + 1) for p in range(q + 1)}
+        )
+        floats = [f.numerator / f.denominator for f in farey]
+        assert all(a < b for a, b in zip(floats, floats[1:]))
+        assert all(Fraction(v).limit_denominator(order) == f for v, f in zip(floats, farey))
+
+    def test_values_equal_naive_fractions_through_repairs(self):
+        rng = random.Random(41)
+        for _ in range(12):
+            net = random_network(rng, max_nodes=18, max_layers=3)
+            for alpha in range(1, net.layer_count + 1):
+                work = net.copy()
+                table = clecc_table(work, alpha)
+                while True:
+                    for x, y in table.pairs():
+                        assert table.value(x, y) == naive_value(work, x, y, alpha)
+                        assert isinstance(table.value(x, y), Fraction)
+                    if not len(table):
+                        break
+                    assert table.min_value() == min(
+                        naive_value(work, x, y, alpha) for x, y in table.pairs()
+                    )
+                    pair = rng.choice(table.pairs())
+                    work.remove_pair_edges(*pair)
+                    update_after_removal(table, work, *pair)
+
+    def test_node_added_after_build_is_not_found(self):
+        net = triangle()
+        table = clecc_table(net, 1)
+        net.add_edge("a", "late", "l1")
+        assert ("a", "late") not in table
+        assert ("late", "a") not in table
+        with pytest.raises(KeyError):
+            table.value("a", "late")
+        assert ("a", "b") in table
