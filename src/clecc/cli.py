@@ -171,11 +171,11 @@ def _cmd_measure(args) -> str:
     table = clecc_table(net, args.alpha)
     lines = ["x,y,clecc"]
     for (a, b), value in sorted(table.items()):
-        if args.oracle and naive_clecc(net, a, b, args.alpha) != float(value):
+        if args.oracle and naive_clecc(net, a, b, args.alpha) != value:
             raise OracleMismatchError(
                 f"optimized and reference values disagree for pair ({a!r}, {b!r})"
             )
-        lines.append(f"{a},{b},{float(value)}")
+        lines.append(f"{a},{b},{value}")
     return "\n".join(lines) + "\n"
 
 

@@ -209,16 +209,14 @@ def select_min_pair(
     pass ``rng`` to continue an existing sequence, otherwise a fresh
     generator is seeded from the policy.
     """
-    key = _select_min_idx(table, policy, rng)
-    a, b = table._label_of[key[0]], table._label_of[key[1]]
-    return (a, b) if a < b else (b, a)
+    return table._labels(_select_min_key(table, policy, rng))
 
 
-def _select_min_idx(
+def _select_min_key(
     table: CleccTable,
     policy: TiePolicy,
     rng: random.Random | None,
-) -> tuple[int, int]:
+) -> int:
     if isinstance(policy, Lexicographic):
         return table._select_min_lex()
     if isinstance(policy, SeededRandom):
@@ -308,7 +306,7 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
             frozen[v] = True
             for w in adj[v]:
                 if w > v:
-                    table._delete((v, w))
+                    table._delete(table._key(v, w))
         groups_idx.append(sorted(members))
 
     def qualifies(members: set[int]) -> bool:
@@ -321,8 +319,11 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
 
     while len(table):
         step += 1
-        i, j = _select_min_idx(table, config.tie_policy, rng)
-        value = table._values[(i, j)]
+        key = _select_min_key(table, config.tie_policy, rng)
+        i, j = table._pair(key)
+        if config.log_removals:
+            value, edges_removed = table._values[key], net._pair_edge_count(i, j)
+            removals.append(RemovalRecord(step, table._labels(key), value, edges_removed))
         adj[i].discard(j)
         adj[j].discard(i)
         # rebuild both endpoint sets in the input's neighbour order, as a
@@ -332,11 +333,6 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
         for e in (i, j):
             adj[e] = {z for z in net._nbr_layers[e] if z in adj[e]}
         _repair(table, adj, (i, j))
-        if config.log_removals:
-            a, b = labels[i], labels[j]
-            pair = (a, b) if a < b else (b, a)
-            edges_removed = net._pair_edge_count(i, j)
-            removals.append(RemovalRecord(step, pair, float(value), edges_removed))
 
         split = _split_components(adj, i, j)
         if split is None:

@@ -50,7 +50,7 @@ class EmptyNetworkError(CleccError):
 
 
 class InvalidParamsError(CleccError):
-    """Generator parameters violate their constraints."""
+    """A parameter (of a generator, condition or parser) violates its constraints."""
 
 
 class MalformedLineError(CleccError):

@@ -22,6 +22,7 @@ from typing import Iterable
 from .detection import DetectionResult, SeededRandom, validity_tag
 from .errors import (
     DuplicateEdgeError,
+    InvalidParamsError,
     MalformedLineError,
     MalformedPartitionError,
     SelfLoopError,
@@ -39,6 +40,11 @@ __all__ = [
 ]
 
 _HEADER_FIELDS = ("source", "target", "layer")
+
+
+def _check_delimiter(delimiter: str) -> None:
+    if not delimiter:
+        raise InvalidParamsError("the edge-list delimiter must not be empty")
 
 
 @dataclass
@@ -62,8 +68,10 @@ def parse_edge_list(
     ``source`` may be a string of CSV text or any iterable of lines
     (an open file works).  Errors carry the 1-based line number.  With
     ``dedupe=True`` repeated (source, target, layer) triples are
-    dropped and counted instead of raising.
+    dropped and counted instead of raising.  An empty ``delimiter``
+    raises :class:`InvalidParamsError`.
     """
+    _check_delimiter(delimiter)
     lines = source.splitlines() if isinstance(source, str) else source
     net = MultiLayerNetwork()
     records = 0
@@ -117,8 +125,10 @@ def write_edge_list(
 
     Re-parsing the output reproduces the exact edge multiset.  Labels
     containing the delimiter or a newline, and source labels starting
-    with ``#``, cannot round-trip and are rejected.
+    with ``#``, cannot round-trip and are rejected, as is an empty
+    ``delimiter``.
     """
+    _check_delimiter(delimiter)
     for label in list(net.nodes()) + list(net.layers()):
         if delimiter in label or "\n" in label or "\r" in label:
             raise ValueError(

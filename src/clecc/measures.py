@@ -17,9 +17,16 @@ repairs such a table exactly after all edges of one pair were deleted:
 only entries containing one of the two endpoints can change, because a
 pair's value depends solely on the neighbourhoods of its members.
 
-Values are kept as exact rationals (:class:`fractions.Fraction`) so
-that minimum selection and tie detection never suffer floating-point
-artifacts; convert with ``float()`` for display.
+Values are stored as floats, and floats are exact here.  A value is a
+fraction ``inter / den`` in [0, 1] with ``den <= n - 2 < N = n``.  Two
+distinct such fractions differ by at least 1/N**2; a correctly rounded
+quotient lies within 2**-54 of its fraction.  While N < 2**26 (checked
+when a table is built) 1/N**2 > 2**-52, so equal fractions give equal
+floats, distinct ones distinct floats in the same order, and each float
+is nearer its fraction than any other with denominator <= N.  So
+``CleccTable.value`` and ``min_value`` return the exact
+:class:`fractions.Fraction` via ``limit_denominator(n)``, and ``items``
+yields the stored floats.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .network import MultiLayerNetwork
 __all__ = ["CleccTable", "ecc", "clecc", "clecc_table", "update_after_removal"]
 
 
-def _candidate_value(a: set[int], b: set[int]) -> Fraction:
+def _candidate_value(a: set[int], b: set[int]) -> float:
     """Value for a candidate pair, i.e. one inside each other's MN.
 
     For such pairs both endpoints sit in the union of the two
@@ -51,9 +58,13 @@ def _candidate_value(a: set[int], b: set[int]) -> Fraction:
     """
     inter = len(a & b)
     den = len(a) + len(b) - inter - 2
-    if den == 0:
-        return Fraction(1)
-    return Fraction(inter, den)
+    return inter / den if den else 1.0
+
+
+def _check_float_exact(n: int) -> None:
+    """Raise unless floats keep every value of an n-node table exact."""
+    if n >= 1 << 26:
+        raise ValueError(f"{n} nodes is too many for exact float values (limit 2**26 - 1)")
 
 
 class CleccTable:
@@ -62,18 +73,25 @@ class CleccTable:
     Besides plain lookups the table maintains a value-bucket index and
     a lazy min-heap so the current minimum value, and the full set of
     pairs attaining it, are available cheaply — that is what the
-    divisive detector loops over.  Pairs are stored as index tuples;
-    the public surface speaks labels.
+    divisive detector loops over.  A pair is keyed by one int,
+    ``lo * n + hi`` with ``lo < hi`` the ranks of its nodes in label
+    order, so the smallest key in a bucket is its label-wise smallest
+    pair.  The node set is fixed when the table is built; the public
+    surface speaks labels.
     """
 
     def __init__(self, alpha: int, index_of: dict[str, int], label_of: list[str]):
+        n = len(label_of)
+        _check_float_exact(n)
         self.alpha = alpha
         self._index_of = index_of
         self._label_of = label_of
-        self._values: dict[tuple[int, int], Fraction] = {}
-        self._buckets: dict[Fraction, dict[tuple[int, int], None]] = {}
-        self._heap: list[Fraction] = []
-        self._rank: list[int] | None = None
+        self._n = n
+        self._by_rank = sorted(range(n), key=label_of.__getitem__)
+        self._rank = sorted(range(n), key=self._by_rank.__getitem__)  # inverse
+        self._values: dict[int, float] = {}
+        self._buckets: dict[float, dict[int, None]] = {}
+        self._heap: list[float] = []
 
     # -- public, label-based ------------------------------------------
 
@@ -81,47 +99,51 @@ class CleccTable:
         return len(self._values)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        key = self._key_from_labels(pair)
-        return key is not None and key in self._values
+        return self._key_from_labels(pair) in self._values
 
     def value(self, x: str, y: str) -> Fraction:
-        key = self._key_from_labels((x, y))
-        if key is None or key not in self._values:
+        value = self._values.get(self._key_from_labels((x, y)))
+        if value is None:
             raise KeyError(f"no table entry for pair ({x!r}, {y!r})")
-        return self._values[key]
+        return Fraction(value).limit_denominator(self._n)
 
-    def items(self) -> Iterator[tuple[tuple[str, str], Fraction]]:
+    def items(self) -> Iterator[tuple[tuple[str, str], float]]:
         """Yield ((label_a, label_b), value) with each pair label-sorted."""
-        label_of = self._label_of
-        for (i, j), v in self._values.items():
-            a, b = label_of[i], label_of[j]
-            if b < a:
-                a, b = b, a
-            yield (a, b), v
+        return ((self._labels(key), v) for key, v in self._values.items())
 
     def pairs(self) -> list[tuple[str, str]]:
         return sorted(pair for pair, _ in self.items())
 
     def min_value(self) -> Fraction:
         """Smallest value currently stored; EmptyTableError when empty."""
-        return self._peek_min()
+        return Fraction(self._peek_min()).limit_denominator(self._n)
 
-    def as_dict(self) -> dict[tuple[str, str], Fraction]:
+    def as_dict(self) -> dict[tuple[str, str], float]:
         return dict(self.items())
 
-    # -- internal, index-based ----------------------------------------
+    # -- internal, key-based ------------------------------------------
 
-    def _key_from_labels(self, pair: tuple[str, str]) -> tuple[int, int] | None:
-        i = self._index_of.get(pair[0])
-        j = self._index_of.get(pair[1])
-        if i is None or j is None:
-            return None
-        return (i, j) if i < j else (j, i)
+    def _key(self, i: int, j: int) -> int:
+        a, b = self._rank[i], self._rank[j]
+        return a * self._n + b if a < b else b * self._n + a
 
-    def _get(self, key: tuple[int, int]) -> Fraction | None:
-        return self._values.get(key)
+    def _pair(self, key: int) -> tuple[int, int]:
+        """Node indices of a key, smaller index first."""
+        lo, hi = divmod(key, self._n)
+        a, b = self._by_rank[lo], self._by_rank[hi]
+        return (a, b) if a < b else (b, a)
 
-    def _set(self, key: tuple[int, int], value: Fraction) -> None:
+    def _labels(self, key: int) -> tuple[str, str]:
+        """Node labels of a key, label-sorted."""
+        lo, hi = divmod(key, self._n)
+        return self._label_of[self._by_rank[lo]], self._label_of[self._by_rank[hi]]
+
+    def _key_from_labels(self, pair: tuple[str, str]) -> int | None:
+        i = self._index_of.get(pair[0], self._n)
+        j = self._index_of.get(pair[1], self._n)
+        return self._key(i, j) if max(i, j) < self._n else None
+
+    def _set(self, key: int, value: float) -> None:
         old = self._values.get(key)
         if old is not None:
             if old == value:
@@ -138,14 +160,14 @@ class CleccTable:
         else:
             bucket[key] = None
 
-    def _delete(self, key: tuple[int, int]) -> None:
+    def _delete(self, key: int) -> None:
         value = self._values.pop(key)
         bucket = self._buckets[value]
         del bucket[key]
         if not bucket:
             del self._buckets[value]
 
-    def _peek_min(self) -> Fraction:
+    def _peek_min(self) -> float:
         heap = self._heap
         while heap and heap[0] not in self._buckets:
             heapq.heappop(heap)
@@ -153,30 +175,11 @@ class CleccTable:
             raise EmptyTableError("the table has no entries")
         return heap[0]
 
-    def _min_bucket(self) -> dict[tuple[int, int], None]:
-        return self._buckets[self._peek_min()]
+    def _select_min_lex(self) -> int:
+        return min(self._buckets[self._peek_min()])
 
-    def _label_rank(self) -> list[int]:
-        """Rank of each node index under label (string) order."""
-        labels = self._label_of
-        if self._rank is None or len(self._rank) != len(labels):
-            order = sorted(range(len(labels)), key=labels.__getitem__)
-            rank = [0] * len(labels)
-            for r, i in enumerate(order):
-                rank[i] = r
-            self._rank = rank
-        return self._rank
-
-    def _lex_key(self, key: tuple[int, int]):
-        rank = self._label_rank()
-        a, b = rank[key[0]], rank[key[1]]
-        return (a, b) if a < b else (b, a)
-
-    def _select_min_lex(self) -> tuple[int, int]:
-        return min(self._min_bucket(), key=self._lex_key)
-
-    def _select_min_random(self, rng: random.Random) -> tuple[int, int]:
-        bucket = self._min_bucket()
+    def _select_min_random(self, rng: random.Random) -> int:
+        bucket = self._buckets[self._peek_min()]
         pick = rng.randrange(len(bucket))
         return next(islice(iter(bucket), pick, None))
 
@@ -237,7 +240,7 @@ def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
     for i, a in enumerate(mn):
         for j in a:
             if j > i:
-                table._set((i, j), _candidate_value(a, mn[j]))
+                table._set(table._key(i, j), _candidate_value(a, mn[j]))
     return table
 
 
@@ -255,28 +258,29 @@ def update_after_removal(
     """
     i = net.node_index(x)
     j = net.node_index(y)
-    key = (i, j) if i < j else (j, i)
-    if table._get(key) is None:
+    pair = (i, j) if i < j else (j, i)
+    if table._key(i, j) not in table._values:
         raise InconsistentTableError(
             f"pair ({x!r}, {y!r}) has no table entry; the table does not "
             "match the network this removal was applied to"
         )
     alpha = table.alpha
-    mn = {z: net._mn_idx(z, alpha) for e in key for z in (e, *net._mn_idx(e, alpha))}
-    _repair(table, mn, key)
+    mn = {z: net._mn_idx(z, alpha) for e in pair for z in (e, *net._mn_idx(e, alpha))}
+    _repair(table, mn, pair)
     return table
 
 
-def _repair(table: CleccTable, mn, key: tuple[int, int]) -> None:
-    """Drop ``key`` and recompute every entry containing one of its nodes.
+def _repair(table: CleccTable, mn, pair: tuple[int, int]) -> None:
+    """Drop ``pair`` and recompute every entry containing one of its nodes.
 
-    ``mn[v]`` (a list or dict) is node v's current neighbourhood, for both
-    endpoints and all their neighbours; entries are rewritten in the
-    iteration order of the endpoints' sets.
+    ``pair`` is index-sorted and ``mn[v]`` (a list or dict) is node v's
+    current neighbourhood, for both endpoints and all their neighbours.
+    Entries are rewritten endpoint by endpoint in that order, each in
+    its set's iteration order: this fixes the order in which pairs
+    enter each value bucket, and so every SeededRandom draw.
     """
-    table._delete(key)
-    for e in key:
+    table._delete(table._key(*pair))
+    for e in pair:
         mn_e = mn[e]
         for z in mn_e:
-            pair = (e, z) if e < z else (z, e)
-            table._set(pair, _candidate_value(mn_e, mn[z]))
+            table._set(table._key(e, z), _candidate_value(mn_e, mn[z]))

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from clecc import (
+    CleccError,
     DetectionConfig,
     DuplicateEdgeError,
     MalformedLineError,
@@ -81,6 +82,13 @@ class TestParseEdgeList:
         parsed = parse_edge_list("source;target;layer\na;b;l1\n", delimiter=";")
         assert parsed.had_header
         assert parsed.network.has_edge("a", "b", "l1")
+
+    def test_empty_delimiter_is_a_library_error(self):
+        with pytest.raises(CleccError) as err:
+            parse_edge_list("a,b,l1\n", delimiter="")
+        assert "delimiter" in str(err.value) and "\n" not in str(err.value)
+        with pytest.raises(CleccError):
+            write_edge_list(demo_network(), delimiter="")
 
     def test_labels_stay_text(self):
         parsed = parse_edge_list("01,1,l1\n")

@@ -7,16 +7,20 @@ import pytest
 
 from clecc import (
     AlphaOutOfRangeError,
+    DetectionConfig,
     EmptyTableError,
     InconsistentTableError,
     MultiLayerNetwork,
     NotAdjacentError,
+    SeededRandom,
     UnknownNodeError,
     clecc,
     clecc_table,
     ecc,
+    run_detection,
     update_after_removal,
 )
+from clecc.measures import _check_float_exact
 from conftest import barbell, dyad, path3, random_network, square_diag, toy2, triangle
 
 
@@ -245,3 +249,26 @@ class TestExactness:
         with pytest.raises(KeyError):
             table.value("a", "late")
         assert ("a", "b") in table
+
+    def test_float_exactness_bound_guarded(self):
+        _check_float_exact((1 << 26) - 1)
+        with pytest.raises(ValueError):
+            _check_float_exact(1 << 26)
+
+    def test_no_fraction_built_by_table_or_detector(self, monkeypatch):
+        made = []
+        original = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        rng = random.Random(43)
+        for _ in range(5):
+            net = random_network(rng, max_nodes=20, max_layers=2)
+            clecc_table(net, 1)
+            run_detection(net, DetectionConfig(alpha=1, tie_policy=SeededRandom(1)))
+        assert made == []
+        clecc_table(triangle(), 1).min_value()
+        assert made
