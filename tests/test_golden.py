@@ -13,22 +13,30 @@ but its node indices kept, so label order and index order disagree:
 they pin how the detector maps between the two, both in the
 lexicographic tie-break and in the order in which a pair's endpoints
 are visited.
+
+The measure cases pin the ``clecc measure`` CSV (the whole table, as
+the command line prints it) on the same instances and on a sparse one
+whose nodes all have fewer than n / 256 alpha-neighbours.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from clecc import (
     DetectionConfig,
     Lexicographic,
+    MultiLayerNetwork,
     PlantedParams,
     SeededRandom,
     WeakCommunity,
     generate_planted,
     run_detection,
+    write_edge_list,
     write_result,
 )
+from clecc.cli import cli_main
 from conftest import shuffled_labels
 
 # six blocks of 25 on three sparse layers: large minimum buckets at
@@ -80,3 +88,56 @@ def test_detection_bytes_pinned_label_shuffled(planted_net, policy):
     assert net.nodes() != sorted(net.nodes())
     assert result_hash(net, 1, policy) == GOLDEN_SHUFFLED[policy]
 
+
+
+# ``clecc measure`` CSV output; keys name the instance and alpha
+GOLDEN_MEASURE = {
+    ("planted", 1): "33b6e6ac3109d3534ae48d2230ac1dfe71eff1e025c52dd9666796ff727e0963",
+    ("planted", 2): "3d3d33f4815cee62ea3a92518b6f32d0a2acf0a0ee6619917bda3c89cfa86a37",
+    ("shuffled", 1): "e980e29d78e7488d684429e812e070ba31c162d390f92de09a6370244d4737c1",
+    ("sparse", 1): "c298af9cb9ce7aca8947835d7759d097a8975c5bf4e6834a6249ff2bbb18b1ce",
+}
+
+
+def sparse_net() -> MultiLayerNetwork:
+    """2400 nodes on two layers, each node linked to a few close successors.
+
+    Every alpha-1 neighbourhood has at most 8 members, so n is more
+    than 256 times the largest degree.
+    """
+    n = 2400
+    rng = random.Random(11)
+    labels = [f"s{i:04d}" for i in range(n)]
+    net = MultiLayerNetwork()
+    for label in labels:
+        net.add_node(label)
+    for layer in ("l1", "l2"):
+        net.add_layer(layer)
+        for i in range(n):
+            j = (i + rng.randint(1, 6)) % n
+            if not net.has_edge(labels[i], labels[j], layer):
+                net.add_edge(labels[i], labels[j], layer)
+                net.add_edge(labels[j], labels[i], layer)
+    return net
+
+
+def measure_hash(net, alpha: int, tmp_path, capsys) -> str:
+    path = tmp_path / "net.csv"
+    path.write_text(write_edge_list(net), encoding="utf-8")
+    assert cli_main(["measure", "--input", str(path), "--alpha", str(alpha)]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case, alpha", list(GOLDEN_MEASURE), ids=[f"{c}-a{a}" for c, a in GOLDEN_MEASURE]
+)
+def test_measure_bytes_pinned(planted_net, case, alpha, tmp_path, capsys):
+    if case == "planted":
+        net = planted_net
+    elif case == "shuffled":
+        net = shuffled_labels(planted_net, seed=3)
+    else:
+        net = sparse_net()
+        degrees = [len(net.multilayer_neighborhood(x, alpha)) for x in net.nodes()]
+        assert max(degrees) * 256 < net.node_count
+    assert measure_hash(net, alpha, tmp_path, capsys) == GOLDEN_MEASURE[(case, alpha)]
