@@ -44,6 +44,7 @@ from .errors import (
     NotAdjacentError,
     OracleMismatchError,
     SelfLoopError,
+    TooManyNodesError,
     UnknownLayerError,
     UnknownNodeError,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "NotAdjacentError",
     "InconsistentTableError",
     "EmptyTableError",
+    "TooManyNodesError",
     "EmptyNetworkError",
     "InvalidParamsError",
     "MalformedLineError",

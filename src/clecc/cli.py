@@ -70,10 +70,7 @@ def _build_parser() -> _Parser:
     detect.add_argument(
         "--log-removals", action="store_true", help="include the removal log"
     )
-    detect.add_argument("--delimiter", default=",", help="edge-list field separator")
-    detect.add_argument(
-        "--dedupe", action="store_true", help="drop duplicate edges instead of failing"
-    )
+    _add_file_flags(detect)
     detect.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     detect.set_defaults(handler=_cmd_detect)
 
@@ -81,6 +78,7 @@ def _build_parser() -> _Parser:
     measure.add_argument("--input", required=True, help="edge-list CSV file")
     measure.add_argument("--alpha", required=True, type=int, help="layer threshold")
     measure.add_argument("--pair", help="X,Y — print this pair's value only")
+    _add_file_flags(measure)
     measure.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     measure.set_defaults(handler=_cmd_measure)
 
@@ -112,9 +110,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_network(path: str, delimiter: str = ",", dedupe: bool = False):
-    with open(path, "r", encoding="utf-8") as handle:
-        parsed = parse_edge_list(handle, delimiter=delimiter, dedupe=dedupe)
+def _add_file_flags(command: argparse.ArgumentParser) -> None:
+    """Edge-list reading flags shared by the commands that take --input."""
+    command.add_argument("--delimiter", default=",", help="edge-list field separator")
+    command.add_argument(
+        "--dedupe", action="store_true", help="drop duplicate edges instead of failing"
+    )
+
+
+def _read_network(args):
+    """The network in ``args.input``, read with the --delimiter/--dedupe flags."""
+    if not args.delimiter:
+        raise UsageError("--delimiter must not be empty")
+    with open(args.input, "r", encoding="utf-8") as handle:
+        parsed = parse_edge_list(handle, delimiter=args.delimiter, dedupe=args.dedupe)
     if parsed.duplicates_dropped:
         print(
             f"note: dropped {parsed.duplicates_dropped} duplicate edge(s)",
@@ -132,8 +141,6 @@ def _cmd_detect(args) -> str:
         if args.seed is not None:
             raise UsageError("--seed only applies with --ties random")
         policy = Lexicographic()
-    if not args.delimiter:
-        raise UsageError("--delimiter must not be empty")
     if args.oracle and args.ties != "lex":
         raise UsageError("--oracle needs --ties lex (random runs are not comparable)")
     config = DetectionConfig(
@@ -142,7 +149,7 @@ def _cmd_detect(args) -> str:
         tie_policy=policy,
         log_removals=args.log_removals,
     )
-    net = _read_network(args.input, args.delimiter, args.dedupe)
+    net = _read_network(args)
     result = run_detection(net, config)
     text = write_result(result, pretty=True)
     if args.oracle:
@@ -155,13 +162,20 @@ def _cmd_detect(args) -> str:
     return text + "\n"
 
 
+def _parse_pair(text: str) -> tuple[str, str]:
+    parts = text.split(",")
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise UsageError("--pair expects two comma-separated node labels")
+    if parts[0] == parts[1]:
+        raise UsageError(f"--pair must name two distinct nodes, got {parts[0]!r} twice")
+    return parts[0], parts[1]
+
+
 def _cmd_measure(args) -> str:
-    net = _read_network(args.input)
-    if args.pair is not None:
-        parts = args.pair.split(",")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise UsageError("--pair expects two comma-separated node labels")
-        x, y = parts
+    pair = None if args.pair is None else _parse_pair(args.pair)
+    net = _read_network(args)
+    if pair is not None:
+        x, y = pair
         value = clecc(net, x, y, args.alpha)
         if args.oracle and naive_clecc(net, x, y, args.alpha) != value:
             raise OracleMismatchError(
@@ -170,7 +184,7 @@ def _cmd_measure(args) -> str:
         return f"{value}\n"
     table = clecc_table(net, args.alpha)
     lines = ["x,y,clecc"]
-    for (a, b), value in sorted(table.items()):
+    for (a, b), value in table.items():
         if args.oracle and naive_clecc(net, a, b, args.alpha) != value:
             raise OracleMismatchError(
                 f"optimized and reference values disagree for pair ({a!r}, {b!r})"
@@ -243,8 +257,8 @@ def cli_main(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     output = getattr(args, "output", None)
     if output:

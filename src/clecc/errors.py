@@ -41,6 +41,10 @@ class InconsistentTableError(CleccError):
     """An incremental table update was asked for a pair with no entry."""
 
 
+class TooManyNodesError(CleccError, ValueError):
+    """A table would hold more nodes than its float values keep exact."""
+
+
 class EmptyTableError(CleccError):
     """A minimum was requested from a table with no entries."""
 

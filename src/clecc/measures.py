@@ -26,7 +26,16 @@ floats, distinct ones distinct floats in the same order, and each float
 is nearer its fraction than any other with denominator <= N.  So
 ``CleccTable.value`` and ``min_value`` return the exact
 :class:`fractions.Fraction` via ``limit_denominator(n)``, and ``items``
-yields the stored floats.
+yields the stored floats, label-sorted pair by pair.
+
+``clecc_table`` counts common neighbours with bitmasks where that costs
+no memory.  A node with at least n / 256 alpha-neighbours gets an int
+whose bit j is set for each neighbour index j; a pair of two such nodes
+counts ``(bits_i & bits_j).bit_count()``, any other pair takes
+``len(a & b)`` of the two neighbour sets.  An n-bit int takes about
+n / 8 bytes and a set about 40 bytes per member, so no bitmask is larger
+than the set it sits beside, and a sparse input builds no bitmask.  The
+repair after a removal stays on sets.
 """
 
 from __future__ import annotations
@@ -41,30 +50,51 @@ from .errors import (
     EmptyTableError,
     InconsistentTableError,
     NotAdjacentError,
+    TooManyNodesError,
 )
 from .network import MultiLayerNetwork
 
 __all__ = ["CleccTable", "ecc", "clecc", "clecc_table", "update_after_removal"]
 
 
-def _candidate_value(a: set[int], b: set[int]) -> float:
-    """Value for a candidate pair, i.e. one inside each other's MN.
+# a node with at least n / _BITMASK_SHARE neighbours gets a bitmask
+_BITMASK_SHARE = 256
 
-    For such pairs both endpoints sit in the union of the two
-    neighbourhoods, so the denominator is |a| + |b| - |a & b| - 2.
+
+def _candidate_value(inter: int, size_a: int, size_b: int) -> float:
+    """Value of a candidate pair, i.e. one inside each other's MN.
+
+    ``inter`` counts the common neighbours and ``size_a``, ``size_b``
+    the two neighbourhoods.  Both endpoints sit in the union of the
+    neighbourhoods, so the denominator is size_a + size_b - inter - 2.
     A zero denominator forces a zero numerator (the pair's only
     alpha-neighbours are each other) and is defined as 1: a mutually
     exclusive dyad is maximally embedded in itself.
     """
-    inter = len(a & b)
-    den = len(a) + len(b) - inter - 2
+    den = size_a + size_b - inter - 2
     return inter / den if den else 1.0
+
+
+def _bitmasks(mn: list[set[int]]) -> dict[int, int]:
+    """Neighbour bitmask of each node with at least n / 256 neighbours."""
+    n = len(mn)
+    size = (n + 7) // 8
+    masks = {}
+    for i, a in enumerate(mn):
+        if len(a) * _BITMASK_SHARE >= n:
+            buf = bytearray(size)
+            for j in a:
+                buf[j >> 3] |= 1 << (j & 7)
+            masks[i] = int.from_bytes(buf, "little")
+    return masks
 
 
 def _check_float_exact(n: int) -> None:
     """Raise unless floats keep every value of an n-node table exact."""
     if n >= 1 << 26:
-        raise ValueError(f"{n} nodes is too many for exact float values (limit 2**26 - 1)")
+        raise TooManyNodesError(
+            f"{n} nodes is too many for exact float values (limit 2**26 - 1)"
+        )
 
 
 class CleccTable:
@@ -108,11 +138,16 @@ class CleccTable:
         return Fraction(value).limit_denominator(self._n)
 
     def items(self) -> Iterator[tuple[tuple[str, str], float]]:
-        """Yield ((label_a, label_b), value) with each pair label-sorted."""
-        return ((self._labels(key), v) for key, v in self._values.items())
+        """Yield ((label_a, label_b), value), each pair label-sorted, in pair order.
+
+        Keys over label ranks sort as their label pairs do, so this is
+        ``sorted`` order on the pairs.
+        """
+        values = self._values
+        return ((self._labels(key), values[key]) for key in sorted(values))
 
     def pairs(self) -> list[tuple[str, str]]:
-        return sorted(pair for pair, _ in self.items())
+        return [self._labels(key) for key in sorted(self._values)]
 
     def min_value(self) -> Fraction:
         """Smallest value currently stored; EmptyTableError when empty."""
@@ -237,10 +272,17 @@ def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
     net._check_alpha(alpha)
     table = CleccTable(alpha, net._node_index, net._node_labels)
     mn = net._alpha_adjacency(alpha)
+    bits = _bitmasks(mn)
     for i, a in enumerate(mn):
+        bits_i = bits.get(i)
         for j in a:
             if j > i:
-                table._set(table._key(i, j), _candidate_value(a, mn[j]))
+                b = mn[j]
+                if bits_i is None or j not in bits:
+                    inter = len(a & b)
+                else:
+                    inter = (bits_i & bits[j]).bit_count()
+                table._set(table._key(i, j), _candidate_value(inter, len(a), len(b)))
     return table
 
 
@@ -283,4 +325,6 @@ def _repair(table: CleccTable, mn, pair: tuple[int, int]) -> None:
     for e in pair:
         mn_e = mn[e]
         for z in mn_e:
-            table._set(table._key(e, z), _candidate_value(mn_e, mn[z]))
+            mn_z = mn[z]
+            inter = len(mn_e & mn_z)
+            table._set(table._key(e, z), _candidate_value(inter, len(mn_e), len(mn_z)))

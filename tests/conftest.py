@@ -5,11 +5,22 @@ network builder for the property harnesses.  Reciprocal helpers add
 both directions of an edge, matching how the generators sample.
 """
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from clecc import MultiLayerNetwork
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict[str, str]:
+    """Environment for a child Python that imports this checkout's ``clecc``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def reciprocal(net, a, b, layer):

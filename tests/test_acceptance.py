@@ -29,7 +29,16 @@ from clecc import (
     update_after_removal,
     write_result,
 )
-from conftest import barbell, dyad, path3, random_network, square_diag, toy2, triangle
+from conftest import (
+    barbell,
+    dyad,
+    path3,
+    random_network,
+    square_diag,
+    src_env,
+    toy2,
+    triangle,
+)
 
 BARBELL_CSV = "".join(
     f"{a},{b},l1\n{b},{a},l1\n"
@@ -237,6 +246,7 @@ def test_c9_cli_byte_determinism(tmp_path):
                 ],
                 capture_output=True,
                 check=True,
+                env=src_env(),
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] == outputs[2]

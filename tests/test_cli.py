@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from clecc import parse_edge_list, write_edge_list
+from clecc import cli, parse_edge_list, write_edge_list
 from clecc.cli import cli_main
 from conftest import toy2
 
@@ -161,6 +161,57 @@ def test_measure_unknown_pair(toy2_csv, capsys):
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""
+
+
+def test_measure_pair_same_node_is_usage_error(toy2_csv, capsys):
+    code = cli_main(["measure", "--input", toy2_csv, "--alpha", "1", "--pair", "x,x"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("usage error: ") and "distinct" in out.err
+
+
+def test_measure_delimiter_and_dedupe(tmp_path, capsys):
+    path = tmp_path / "semi_dup.csv"
+    path.write_text("x;y;l1\nx;y;l1\ny;x;l1\ny;u;l1\n")
+    argv = ["measure", "--input", str(path), "--alpha", "1"]
+    assert cli_main(argv) == 2  # a ';' line is one malformed field
+    capsys.readouterr()
+    assert cli_main([*argv, "--delimiter", ";"]) == 2  # duplicate edge
+    capsys.readouterr()
+    assert cli_main([*argv, "--delimiter", ";", "--dedupe"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "x,y,clecc\nu,y,0.0\nx,y,0.0\n"
+    assert "1 duplicate" in out.err
+
+
+def test_measure_empty_delimiter(toy2_csv, capsys):
+    code = cli_main(["measure", "--input", toy2_csv, "--alpha", "1", "--delimiter", ""])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert "usage error" in out.err and "--delimiter" in out.err
+
+
+@pytest.mark.parametrize("command", ["detect", "measure"])
+def test_non_utf8_input_is_data_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("caf\xe9,b,l1\n".encode("latin-1"))
+    code = cli_main([command, "--input", str(path), "--alpha", "1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "UTF-8" in out.err
+    assert out.err.count("\n") == 1
+
+
+def test_internal_value_error_is_not_a_data_error(toy2_csv, monkeypatch):
+    def broken(net, alpha):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "clecc_table", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli_main(["measure", "--input", toy2_csv, "--alpha", "1"])
 
 
 def test_generate_planted_round_trip(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Every walkthrough script in ``demos/`` runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,14 +18,10 @@ def test_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, str(script)],
         cwd=tmp_path,
-        env=env,
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,

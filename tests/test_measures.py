@@ -13,6 +13,7 @@ from clecc import (
     MultiLayerNetwork,
     NotAdjacentError,
     SeededRandom,
+    TooManyNodesError,
     UnknownNodeError,
     clecc,
     clecc_table,
@@ -20,8 +21,19 @@ from clecc import (
     run_detection,
     update_after_removal,
 )
-from clecc.measures import _check_float_exact
-from conftest import barbell, dyad, path3, random_network, square_diag, toy2, triangle
+from clecc.measures import _bitmasks, _check_float_exact
+from clecc.reference import naive_clecc
+from conftest import (
+    barbell,
+    dyad,
+    path3,
+    random_network,
+    reciprocal,
+    shuffled_labels,
+    square_diag,
+    toy2,
+    triangle,
+)
 
 
 def naive_value(net, x, y, alpha):
@@ -165,6 +177,69 @@ class TestCleccTable:
         with pytest.raises(AlphaOutOfRangeError):
             clecc_table(triangle(), 2)
 
+    def test_items_yield_label_sorted_pairs_in_ascending_order(self):
+        rng = random.Random(23)
+        for seed in range(5):
+            net = shuffled_labels(random_network(rng, max_nodes=30, max_layers=2), seed)
+            table = clecc_table(net, 1)
+            pairs = [pair for pair, _ in table.items()]
+            assert all(a < b for a, b in pairs)
+            assert pairs == sorted(pairs) == table.pairs()
+            assert len(set(pairs)) == len(table)
+
+
+def hub_path():
+    """An 800-node path and a 4-clique of hubs, each hub joined to 12 path nodes.
+
+    The path lies on l1.  The hubs' clique and the first 6 path nodes
+    of each hub are on both layers, the other hub-path edges on l1
+    only.  A path node has at most 3 alpha-neighbours and 3 * 256 < 804,
+    so only the hubs get neighbour bitmasks; node indices put the path
+    first and labels put the hubs first.
+    """
+    net = MultiLayerNetwork()
+    path = [f"p{i:04d}" for i in range(800)]
+    hubs = [f"h{k}" for k in range(4)]
+    for a, b in zip(path, path[1:]):
+        reciprocal(net, a, b, "l1")
+    for k, hub in enumerate(hubs):
+        for other in hubs[k + 1:]:
+            reciprocal(net, hub, other, "l1")
+            reciprocal(net, hub, other, "l2")
+        for offset in range(12):
+            spoke = path[150 * k + 40 + offset]
+            reciprocal(net, hub, spoke, "l1")
+            if offset < 6:
+                reciprocal(net, hub, spoke, "l2")
+    return net
+
+
+class TestCountingBranches:
+    """Bitmask counts between hubs, set counts for every other pair."""
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_only_hubs_get_bitmasks(self, alpha):
+        net = hub_path()
+        masked = _bitmasks(net._alpha_adjacency(alpha))
+        assert sorted(net.nodes()[i] for i in masked) == ["h0", "h1", "h2", "h3"]
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_values_equal_naive_clecc(self, alpha):
+        net = hub_path()
+        table = clecc_table(net, alpha)
+        assert ("h0", "h1") in table and ("h0", "p0040") in table
+        for (x, y), value in table.items():
+            assert value == naive_clecc(net, x, y, alpha)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_repairs_match_a_fresh_table(self, alpha):
+        net = hub_path()
+        table = clecc_table(net, alpha)
+        for pair in [("h0", "h1"), ("h2", "p0340"), ("h1", "h3"), ("h3", "p0490")]:
+            net.remove_pair_edges(*pair)
+            update_after_removal(table, net, *pair)
+            assert table.as_dict() == clecc_table(net, alpha).as_dict()
+
 
 class TestUpdateAfterRemoval:
     def test_barbell_bridge_removal(self):
@@ -253,6 +328,8 @@ class TestExactness:
     def test_float_exactness_bound_guarded(self):
         _check_float_exact((1 << 26) - 1)
         with pytest.raises(ValueError):
+            _check_float_exact(1 << 26)
+        with pytest.raises(TooManyNodesError):
             _check_float_exact(1 << 26)
 
     def test_no_fraction_built_by_table_or_detector(self, monkeypatch):
