@@ -26,15 +26,15 @@ floats, distinct ones distinct floats in the same order, and each float
 is nearer its fraction than any other with denominator <= N.  So
 ``CleccTable.value`` and ``min_value`` return the exact
 :class:`fractions.Fraction` via ``limit_denominator(n)``, and ``items``
-yields the stored floats, label-sorted pair by pair.
+yields the stored floats in sorted pair order, each pair label-sorted.
 
-``clecc_table`` counts common neighbours with bitmasks where that costs
-no memory.  A node with at least n / 256 alpha-neighbours gets an int
-whose bit j is set for each neighbour index j; a pair of two such nodes
-counts ``(bits_i & bits_j).bit_count()``, any other pair takes
-``len(a & b)`` of the two neighbour sets.  An n-bit int takes about
-n / 8 bytes and a set about 40 bytes per member, so no bitmask is larger
-than the set it sits beside, and a sparse input builds no bitmask.  The
+``clecc_table`` counts common neighbours with bitmasks where a bitmask
+is no larger than the set it sits beside.  A node with at least n / 256
+alpha-neighbours gets an int whose bit j is set for each neighbour
+index j; a pair of two such nodes counts ``(bits_i & bits_j).bit_count()``,
+any other pair takes ``len(a & b)`` of the two neighbour sets.  An
+n-bit int takes about n / 8 bytes and a set about 40 bytes per member,
+so at least n / 6.4 bytes here; a sparse input builds no bitmask.  The
 repair after a removal stays on sets.
 """
 
