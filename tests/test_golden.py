@@ -8,6 +8,11 @@ so these hashes also pin the order in which the table repair visits
 pairs: a change to that order changes the random-tie output even when
 every value stays exact.
 
+The dense cases run alpha 1 on four blocks of 40 whose three layers
+are half filled inside each block, so most removed pairs share many
+neighbours and the repair lowers the common-neighbour count of many
+entries, not only their neighbourhood sizes.
+
 The shuffled cases run the same instance with its node labels permuted
 but its node indices kept, so label order and index order disagree:
 they pin how the detector maps between the two, both in the
@@ -52,6 +57,16 @@ GOLDEN = {
     (2, SeededRandom(2)): "4d2b866a1da7ac63ff24f44bb8abfff2526263acfc505b00464f66f0012b80f9",
 }
 
+# four dense blocks of 40: most removals hit pairs with shared neighbours
+DENSE = PlantedParams(sizes=(40,) * 4, layers=3, p_in=0.5, p_out=0.02, seed=9)
+
+# alpha 1 on DENSE
+GOLDEN_DENSE = {
+    Lexicographic(): "168a399023fa87b4de55e84ab51eefcb424c7816790eb82564cf3e3655a30e9d",
+    SeededRandom(1): "d54b66a144579349fec09d58d709296dd489b6169b7cbbbe8ea89539a1ff7794",
+    SeededRandom(2): "09eafc9339480c2534e23a0ac6665b82f40d1c1b0af1549dd3dd00b412937c97",
+}
+
 # alpha 1 on a label-shuffled copy of PLANTED (see shuffled_labels)
 GOLDEN_SHUFFLED = {
     Lexicographic(): "8950d757d72880cbc791c5547ea3e9d85abafc64585e2faddc2c0f9fb49d0904",
@@ -88,6 +103,13 @@ def test_detection_bytes_pinned_label_shuffled(planted_net, policy):
     assert net.nodes() != sorted(net.nodes())
     assert result_hash(net, 1, policy) == GOLDEN_SHUFFLED[policy]
 
+
+@pytest.mark.parametrize(
+    "policy", list(GOLDEN_DENSE), ids=[f"a1-dense-{p!r}" for p in GOLDEN_DENSE]
+)
+def test_detection_bytes_pinned_dense(policy):
+    net = generate_planted(DENSE).network
+    assert result_hash(net, 1, policy) == GOLDEN_DENSE[policy]
 
 
 # ``clecc measure`` CSV output; keys name the instance and alpha
