@@ -82,19 +82,22 @@ def parse_edge_list(
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split(delimiter)]
+        fields = line.split(delimiter)
+        if len(fields) != 3:
+            fields = ("", "", "")  # fails the non-empty test below
+        src, dst, layer = fields
+        src, dst, layer = src.strip(), dst.strip(), layer.strip()
         if expect_header:
             expect_header = False
-            if fields == list(_HEADER_FIELDS):
+            if (src, dst, layer) == _HEADER_FIELDS:
                 had_header = True
                 continue
-        if len(fields) != 3 or any(not f for f in fields):
+        if not (src and dst and layer):
             raise MalformedLineError(
                 f"line {line_no}: expected 3 non-empty fields separated by "
                 f"{delimiter!r}, got {raw!r}",
                 line=line_no,
             )
-        src, dst, layer = fields
         try:
             net.add_edge(src, dst, layer)
         except SelfLoopError:

@@ -97,7 +97,8 @@ class MultiLayerNetwork:
             raise DuplicateEdgeError(
                 f"edge ({source!r}, {target!r}, {layer!r}) already present"
             )
-        connected_before = y in self._out[x][l] or y in self._in[x][l]
+        # the test above ruled out x -> y, so only y -> x can join them
+        connected_before = y in self._in[x][l]
         self._out[x][l].add(y)
         self._in[y][l].add(x)
         self._edge_count += 1

@@ -78,6 +78,84 @@ class TestParseEdgeList:
             parse_edge_list("a,b,l1\n" + bad)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, error, line, message",
+        [
+            (
+                "# c\n\nsource,target,layer\na,b,l1\n\n# c\na,b\n",
+                MalformedLineError,
+                7,
+                "line 7: expected 3 non-empty fields separated by ',', got 'a,b'",
+            ),
+            (
+                "a,b,l1\n a , b , l1 , x \n",
+                MalformedLineError,
+                2,
+                "line 2: expected 3 non-empty fields separated by ',', "
+                "got ' a , b , l1 , x '",
+            ),
+            (
+                "a,b,l1\n\n#\na, ,l1\n",
+                MalformedLineError,
+                4,
+                "line 4: expected 3 non-empty fields separated by ',', got 'a, ,l1'",
+            ),
+            (
+                " , b ,l1\n",
+                MalformedLineError,
+                1,
+                "line 1: expected 3 non-empty fields separated by ',', got ' , b ,l1'",
+            ),
+            (
+                "a,b,\n",
+                MalformedLineError,
+                1,
+                "line 1: expected 3 non-empty fields separated by ',', got 'a,b,'",
+            ),
+            (
+                "source,target\n",
+                MalformedLineError,
+                1,
+                "line 1: expected 3 non-empty fields separated by ',', "
+                "got 'source,target'",
+            ),
+            (
+                "a;b;l1\n",
+                MalformedLineError,
+                1,
+                "line 1: expected 3 non-empty fields separated by ',', got 'a;b;l1'",
+            ),
+            (
+                "x,y,l1\n# c\n\n  a , a , l1  \n",
+                SelfLoopError,
+                4,
+                "line 4: self-loop on node 'a'",
+            ),
+            (
+                "source , target , layer\nx,y,l1\n\n x ,y, l1\n",
+                DuplicateEdgeError,
+                4,
+                "line 4: duplicate edge ('x', 'y', 'l1')",
+            ),
+            (
+                "\n\nsource,target,layer\nsource,target,layer\nsource,target,layer\n",
+                DuplicateEdgeError,
+                5,
+                "line 5: duplicate edge ('source', 'target', 'layer')",
+            ),
+        ],
+    )
+    def test_errors_keep_line_and_message(self, text, error, line, message):
+        with pytest.raises(error) as err:
+            parse_edge_list(text)
+        assert (err.value.line, str(err.value)) == (line, message)
+        # lines read from a file keep their newline, and so does the quote
+        if error is MalformedLineError:
+            message = message[:-1] + "\\n'"
+        with pytest.raises(error) as err:
+            parse_edge_list(io.StringIO(text))
+        assert (err.value.line, str(err.value)) == (line, message)
+
     def test_custom_delimiter(self):
         parsed = parse_edge_list("source;target;layer\na;b;l1\n", delimiter=";")
         assert parsed.had_header
