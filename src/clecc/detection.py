@@ -231,10 +231,16 @@ def _split_components(
 ) -> tuple[set[int], set[int]] | None:
     """Components of a and b after their direct edge was dropped.
 
-    Returns ``None`` while a and b are still connected.  Searches from
-    both endpoints, always growing the smaller frontier, so the cost is
-    bounded by the smaller side when they did separate.
+    Returns ``None`` while a and b are still connected.  A path of
+    length 2 or 3 is looked for first, through the neighbours of a;
+    most removals leave one.  Otherwise searches from both endpoints,
+    always growing the smaller frontier, so the cost is bounded by the
+    smaller side when they did separate.
     """
+    adj_b = adj[b]
+    for u in adj[a]:
+        if u in adj_b or not adj[u].isdisjoint(adj_b):
+            return None
     seen_a, seen_b = {a}, {b}
     frontier_a, frontier_b = [a], [b]
     while frontier_a and frontier_b:

@@ -34,8 +34,25 @@ alpha-neighbours gets an int whose bit j is set for each neighbour
 index j; a pair of two such nodes counts ``(bits_i & bits_j).bit_count()``,
 any other pair takes ``len(a & b)`` of the two neighbour sets.  An
 n-bit int takes about n / 8 bytes and a set about 40 bytes per member,
-so at least n / 6.4 bytes here; a sparse input builds no bitmask.  The
-repair after a removal stays on sets.
+so at least n / 6.4 bytes here; a sparse input builds no bitmask.
+
+The repair after a removal intersects no sets: it recovers each
+entry's common-neighbour count from its stored float.  For a pair
+with ``c`` common neighbours and ``s = |MN(x)| + |MN(y)| - 2`` the
+stored value is ``v = fl(c / (s - c))``, and ``v = 1.0`` when
+``s - c = 0``, which forces ``c = s = 0``.  Solving ``v = c / (s - c)``
+gives ``c = v * s / (1 + v)``, and that formula also yields 0 for the
+zero-denominator case.  Computing it rounds four times (the stored
+quotient, the product, the sum and the division), so it lies within a
+relative error of about 5 * 2**-53 of c; as c <= s <= 2(n - 1) < 2**27,
+the absolute error stays below 2**-23, far under 1/2, and ``round``
+returns ``c`` exactly.  Removing {i, j} lowers the count of an entry
+(e, z), e one of the endpoints, by one exactly when z is a common
+neighbour of i and j, and lowers ``s`` by one.  So one intersection
+per removal, ``MN(i) & MN(j)``, serves every entry.  The recovery
+takes each stored value to match the neighbourhoods as they were just
+before the removal, so ``update_after_removal`` trusts the table to
+match the network as it stood then.
 """
 
 from __future__ import annotations
@@ -106,8 +123,9 @@ class CleccTable:
     divisive detector loops over.  A pair is keyed by one int,
     ``lo * n + hi`` with ``lo < hi`` the ranks of its nodes in label
     order, so the smallest key in a bucket is its label-wise smallest
-    pair.  The node set is fixed when the table is built; the public
-    surface speaks labels.
+    pair; lex selection finds it with a lazy min-heap of keys for each
+    bucket it has visited.  The node set is fixed when the table is
+    built; the public surface speaks labels.
     """
 
     def __init__(self, alpha: int, index_of: dict[str, int], label_of: list[str]):
@@ -122,6 +140,9 @@ class CleccTable:
         self._values: dict[int, float] = {}
         self._buckets: dict[float, dict[int, None]] = {}
         self._heap: list[float] = []
+        # value -> lazy min-heap holding every key of that bucket (and
+        # possibly keys that left it), built on first lex selection
+        self._lex_heaps: dict[float, list[int]] = {}
 
     # -- public, label-based ------------------------------------------
 
@@ -178,15 +199,8 @@ class CleccTable:
         j = self._index_of.get(pair[1], self._n)
         return self._key(i, j) if max(i, j) < self._n else None
 
-    def _set(self, key: int, value: float) -> None:
-        old = self._values.get(key)
-        if old is not None:
-            if old == value:
-                return
-            bucket = self._buckets[old]
-            del bucket[key]
-            if not bucket:
-                del self._buckets[old]
+    def _insert(self, key: int, value: float) -> None:
+        """Store the value of a pair that has no entry yet."""
         self._values[key] = value
         bucket = self._buckets.get(value)
         if bucket is None:
@@ -194,6 +208,9 @@ class CleccTable:
             heapq.heappush(self._heap, value)
         else:
             bucket[key] = None
+            lex_heap = self._lex_heaps.get(value)
+            if lex_heap is not None:
+                heapq.heappush(lex_heap, key)
 
     def _delete(self, key: int) -> None:
         value = self._values.pop(key)
@@ -201,6 +218,7 @@ class CleccTable:
         del bucket[key]
         if not bucket:
             del self._buckets[value]
+            self._lex_heaps.pop(value, None)
 
     def _peek_min(self) -> float:
         heap = self._heap
@@ -211,7 +229,17 @@ class CleccTable:
         return heap[0]
 
     def _select_min_lex(self) -> int:
-        return min(self._buckets[self._peek_min()])
+        """Smallest key of the minimum bucket, from that bucket's lazy heap."""
+        value = self._peek_min()
+        bucket = self._buckets[value]
+        heap = self._lex_heaps.get(value)
+        if heap is None:
+            heap = list(bucket)
+            heapq.heapify(heap)
+            self._lex_heaps[value] = heap
+        while heap[0] not in bucket:
+            heapq.heappop(heap)
+        return heap[0]
 
     def _select_min_random(self, rng: random.Random) -> int:
         bucket = self._buckets[self._peek_min()]
@@ -282,7 +310,7 @@ def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
                     inter = len(a & b)
                 else:
                     inter = (bits_i & bits[j]).bit_count()
-                table._set(table._key(i, j), _candidate_value(inter, len(a), len(b)))
+                table._insert(table._key(i, j), _candidate_value(inter, len(a), len(b)))
     return table
 
 
@@ -295,8 +323,10 @@ def update_after_removal(
     y against the current network.  No other entry can have changed:
     a value depends only on the neighbourhoods of its own two nodes,
     and deleting x–y edges alters only the neighbourhoods of x and y.
-    The table ends up identical to a from-scratch rebuild.  Mutates and
-    returns ``table``.
+    The table must match the network as it was before this removal
+    (each entry's old common-neighbour count is read back from its
+    value); then it ends up identical to a from-scratch rebuild.
+    Mutates and returns ``table``.
     """
     i = net.node_index(x)
     j = net.node_index(y)
@@ -316,15 +346,51 @@ def _repair(table: CleccTable, mn, pair: tuple[int, int]) -> None:
     """Drop ``pair`` and recompute every entry containing one of its nodes.
 
     ``pair`` is index-sorted and ``mn[v]`` (a list or dict) is node v's
-    current neighbourhood, for both endpoints and all their neighbours.
-    Entries are rewritten endpoint by endpoint in that order, each in
-    its set's iteration order: this fixes the order in which pairs
-    enter each value bucket, and so every SeededRandom draw.
+    neighbourhood after the removal, for both endpoints and all their
+    neighbours; the table still holds the values from before it.  Each
+    entry's old common-neighbour count comes back from its stored value
+    (see the module docstring).  Entries are rewritten endpoint by
+    endpoint in that order, each in its set's iteration order: this
+    fixes the order in which pairs enter each value bucket, and so
+    every SeededRandom draw.
     """
     table._delete(table._key(*pair))
+    values, buckets, heap = table._values, table._buckets, table._heap
+    lex_heaps, rank, n = table._lex_heaps, table._rank, table._n
+    heappush = heapq.heappush
+    shared = mn[pair[0]] & mn[pair[1]]
     for e in pair:
         mn_e = mn[e]
+        # s = |MN(e)| + |MN(z)| - 2 before the removal; e has lost one
+        # neighbour since, z none, so s = len(mn_e) - 1 + len(mn[z])
+        size_e = len(mn_e) - 1
+        rank_e = rank[e]
         for z in mn_e:
-            mn_z = mn[z]
-            inter = len(mn_e & mn_z)
-            table._set(table._key(e, z), _candidate_value(inter, len(mn_e), len(mn_z)))
+            rank_z = rank[z]
+            key = rank_e * n + rank_z if rank_e < rank_z else rank_z * n + rank_e
+            old = values[key]
+            s = size_e + len(mn[z])
+            inter = round(old * s / (1 + old))
+            if z in shared:
+                inter -= 1
+            elif not inter and s > 1:
+                continue  # stays 0 / (s - 1) = 0
+            den = s - 1 - inter
+            value = inter / den if den else 1.0
+            if value == old:
+                continue
+            bucket = buckets[old]
+            del bucket[key]
+            if not bucket:
+                del buckets[old]
+                lex_heaps.pop(old, None)
+            values[key] = value
+            bucket = buckets.get(value)
+            if bucket is None:
+                buckets[value] = {key: None}
+                heappush(heap, value)
+            else:
+                bucket[key] = None
+                lex_heap = lex_heaps.get(value)
+                if lex_heap is not None:
+                    heappush(lex_heap, key)

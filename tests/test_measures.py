@@ -21,7 +21,7 @@ from clecc import (
     run_detection,
     update_after_removal,
 )
-from clecc.measures import _bitmasks, _check_float_exact
+from clecc.measures import _bitmasks, _candidate_value, _check_float_exact
 from clecc.reference import naive_clecc
 from conftest import (
     barbell,
@@ -281,6 +281,136 @@ class TestUpdateAfterRemoval:
                     work.remove_pair_edges(*pair)
                     update_after_removal(table, work, *pair)
                     assert table.as_dict() == clecc_table(work, alpha).as_dict()
+
+
+def layered_path(labels, layers=3):
+    """Reciprocal path through ``labels``, repeated on each layer."""
+    net = MultiLayerNetwork()
+    for l in range(layers):
+        for a, b in zip(labels, labels[1:]):
+            reciprocal(net, a, b, f"l{l + 1}")
+    return net
+
+
+def recovered_count(value: float, s: int) -> int:
+    """The count the repair recovers from a stored value (module docstring)."""
+    return round(value * s / (1 + value))
+
+
+class TestCountRecovery:
+    """The repair reads each entry's common-neighbour count off its float."""
+
+    @staticmethod
+    def stored(c: int, s: int) -> float:
+        # any split of s + 2 into two neighbourhood sizes gives the same value
+        return _candidate_value(c, s // 2 + 1, s - s // 2 + 1)
+
+    # each of the pair's neighbourhoods holds its c common neighbours and
+    # the other node, so c <= s / 2; these tests cover every c < s, and
+    # c = s only where a zero denominator allows it, at s = 0
+
+    def test_every_count_up_to_400(self):
+        assert recovered_count(self.stored(0, 0), 0) == 0
+        for s in range(1, 401):
+            for c in range(s):
+                assert recovered_count(self.stored(c, s), s) == c
+
+    def test_sampled_counts_near_the_bound(self):
+        # s = |MN(x)| + |MN(y)| - 2 <= 2(n - 1) - 2 < 2**27 for n < 2**26
+        rng = random.Random(5)
+        for _ in range(20000):
+            s = rng.randrange((1 << 26) - (1 << 20), (1 << 27) - 4)
+            for c in (rng.randrange(s), 0, 1, s // 2, s - 1):
+                assert recovered_count(self.stored(c, s), s) == c
+
+    def test_both_ways_to_store_one(self):
+        # den = 0 forces c = s = 0; c = den means c = s / 2
+        assert self.stored(0, 0) == 1.0 and recovered_count(1.0, 0) == 0
+        for c in (1, 7, 1 << 25):
+            assert self.stored(c, 2 * c) == 1.0
+            assert recovered_count(1.0, 2 * c) == c
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_removal_isolates_a_dyad(self, alpha):
+        # a-b-c-d-e-f: dropping b-c leaves a-b as an isolated dyad (1.0),
+        # while c-d stays at 0 with a smaller neighbourhood
+        net = layered_path("abcdef")
+        table = clecc_table(net, alpha)
+        net.remove_pair_edges("b", "c")
+        update_after_removal(table, net, "b", "c")
+        assert table.value("a", "b") == 1
+        assert table.value("c", "d") == 0
+        assert table.as_dict() == clecc_table(net, alpha).as_dict()
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_shared_neighbours_lower_values(self, alpha):
+        # a 5-clique on every layer, plus a tail and a layer-1 chord
+        net = MultiLayerNetwork()
+        for l in ("l1", "l2", "l3"):
+            for k, a in enumerate("abcde"):
+                for b in "abcde"[k + 1 :]:
+                    reciprocal(net, a, b, l)
+            reciprocal(net, "e", "f", l)
+        reciprocal(net, "a", "f", "l1")
+        table = clecc_table(net, alpha)
+        before = table.as_dict()
+        net.remove_pair_edges("a", "b")
+        update_after_removal(table, net, "a", "b")
+        after = table.as_dict()
+        for z in "cde":
+            assert after[("a", z)] < before[("a", z)]
+            assert after[("b", z)] < before[("b", z)]
+        assert after == clecc_table(net, alpha).as_dict()
+
+
+class TestLexSelection:
+    """Lex selection from a lazy heap per bucket equals ``min(bucket)``."""
+
+    @staticmethod
+    def min_bucket_min(table):
+        return min(table._buckets[table._peek_min()])
+
+    def test_random_removals(self):
+        rng = random.Random(17)
+        returned = 0
+        for _ in range(30):
+            net = random_network(rng, max_nodes=24, max_layers=3)
+            for alpha in range(1, net.layer_count + 1):
+                table = clecc_table(net.copy(), alpha)
+                work = net.copy()
+                while len(table):
+                    key = table._select_min_lex()
+                    assert key == self.min_bucket_min(table)
+                    # a key pushed again before its stale copy left the heap
+                    returned += any(
+                        len(h) != len(set(h)) for h in table._lex_heaps.values()
+                    )
+                    if rng.random() < 0.5:
+                        pair = table._labels(key)
+                    else:
+                        pair = rng.choice(table.pairs())
+                    work.remove_pair_edges(*pair)
+                    update_after_removal(table, work, *pair)
+                assert not table._lex_heaps
+        assert returned
+
+    def test_keys_leave_and_return(self):
+        table = clecc_table(layered_path("abcdefg", layers=1), 1)
+        value = table._peek_min()
+        bucket = sorted(table._buckets[value])
+        assert len(bucket) >= 2
+        first, second = bucket[:2]
+        assert table._select_min_lex() == first
+        table._delete(first)
+        assert table._select_min_lex() == second
+        table._insert(first, value)
+        assert table._select_min_lex() == first
+        # empty the bucket: its heap goes with it, and a new one is built
+        for key in bucket:
+            table._delete(key)
+        assert value not in table._lex_heaps
+        table._insert(second, value)
+        assert table._select_min_lex() == second
 
 
 class TestExactness:

@@ -207,6 +207,54 @@ class TestConnectedComponents:
         assert _split_components(adj, 2, 1) == ({2}, {0, 1})
 
 
+def bfs_distances(adj, start):
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+class TestSplitAgainstBfs:
+    """``_split_components`` against a plain BFS under random deletions."""
+
+    def test_random_deletions(self):
+        rng = random.Random(23)
+        outcomes = {"2-hop": 0, "3-hop": 0, "longer": 0, "separated": 0}
+        for _ in range(40):
+            n = rng.randint(4, 40)
+            p = rng.choice([0.08, 0.15, 0.3])
+            adj = [set() for _ in range(n)]
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if rng.random() < p:
+                        adj[a].add(b)
+                        adj[b].add(a)
+            edges = [(a, b) for a in range(n) for b in adj[a] if a < b]
+            rng.shuffle(edges)
+            for a, b in edges:
+                if rng.random() < 0.5:
+                    a, b = b, a
+                adj[a].discard(b)
+                adj[b].discard(a)
+                dist = bfs_distances(adj, a)
+                got = _split_components(adj, a, b)
+                if b in dist:
+                    assert got is None
+                    hops = dist[b]
+                    outcomes["longer" if hops > 3 else f"{hops}-hop"] += 1
+                else:
+                    assert got == (set(dist), set(bfs_distances(adj, b)))
+                    outcomes["separated"] += 1
+        assert all(outcomes.values()), outcomes
+
+
 class TestNeighbourhoodLaws:
     """Seeded-random property harness for the neighbourhood identities."""
 
