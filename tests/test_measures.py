@@ -241,6 +241,15 @@ class TestCountingBranches:
             assert table.as_dict() == clecc_table(net, alpha).as_dict()
 
 
+def layered_path(labels, layers=3):
+    """Reciprocal path through ``labels``, repeated on each layer."""
+    net = MultiLayerNetwork()
+    for l in range(layers):
+        for a, b in zip(labels, labels[1:]):
+            reciprocal(net, a, b, f"l{l + 1}")
+    return net
+
+
 class TestUpdateAfterRemoval:
     def test_barbell_bridge_removal(self):
         net = barbell()
@@ -268,67 +277,6 @@ class TestUpdateAfterRemoval:
         update_after_removal(table, net, "c", "d")
         with pytest.raises(InconsistentTableError):
             update_after_removal(table, net, "c", "d")
-
-    def test_matches_rebuild_on_random_networks(self):
-        rng = random.Random(31)
-        for _ in range(12):
-            net = random_network(rng, max_nodes=16, max_layers=3)
-            for alpha in range(1, net.layer_count + 1):
-                work = net.copy()
-                table = clecc_table(work, alpha)
-                while len(table):
-                    pair = rng.choice(table.pairs())
-                    work.remove_pair_edges(*pair)
-                    update_after_removal(table, work, *pair)
-                    assert table.as_dict() == clecc_table(work, alpha).as_dict()
-
-
-def layered_path(labels, layers=3):
-    """Reciprocal path through ``labels``, repeated on each layer."""
-    net = MultiLayerNetwork()
-    for l in range(layers):
-        for a, b in zip(labels, labels[1:]):
-            reciprocal(net, a, b, f"l{l + 1}")
-    return net
-
-
-def recovered_count(value: float, s: int) -> int:
-    """The count the repair recovers from a stored value (module docstring)."""
-    return round(value * s / (1 + value))
-
-
-class TestCountRecovery:
-    """The repair reads each entry's common-neighbour count off its float."""
-
-    @staticmethod
-    def stored(c: int, s: int) -> float:
-        # any split of s + 2 into two neighbourhood sizes gives the same value
-        return _candidate_value(c, s // 2 + 1, s - s // 2 + 1)
-
-    # each of the pair's neighbourhoods holds its c common neighbours and
-    # the other node, so c <= s / 2; these tests cover every c < s, and
-    # c = s only where a zero denominator allows it, at s = 0
-
-    def test_every_count_up_to_400(self):
-        assert recovered_count(self.stored(0, 0), 0) == 0
-        for s in range(1, 401):
-            for c in range(s):
-                assert recovered_count(self.stored(c, s), s) == c
-
-    def test_sampled_counts_near_the_bound(self):
-        # s = |MN(x)| + |MN(y)| - 2 <= 2(n - 1) - 2 < 2**27 for n < 2**26
-        rng = random.Random(5)
-        for _ in range(20000):
-            s = rng.randrange((1 << 26) - (1 << 20), (1 << 27) - 4)
-            for c in (rng.randrange(s), 0, 1, s // 2, s - 1):
-                assert recovered_count(self.stored(c, s), s) == c
-
-    def test_both_ways_to_store_one(self):
-        # den = 0 forces c = s = 0; c = den means c = s / 2
-        assert self.stored(0, 0) == 1.0 and recovered_count(1.0, 0) == 0
-        for c in (1, 7, 1 << 25):
-            assert self.stored(c, 2 * c) == 1.0
-            assert recovered_count(1.0, 2 * c) == c
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_removal_isolates_a_dyad(self, alpha):
@@ -362,13 +310,62 @@ class TestCountRecovery:
             assert after[("b", z)] < before[("b", z)]
         assert after == clecc_table(net, alpha).as_dict()
 
+    def test_matches_rebuild_on_random_networks(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            net = random_network(rng, max_nodes=16, max_layers=3)
+            for alpha in range(1, net.layer_count + 1):
+                work = net.copy()
+                table = clecc_table(work, alpha)
+                while len(table):
+                    pair = rng.choice(table.pairs())
+                    work.remove_pair_edges(*pair)
+                    update_after_removal(table, work, *pair)
+                    assert table.as_dict() == clecc_table(work, alpha).as_dict()
+
+
+def recovered_count(value: float, s: int) -> int:
+    """The count the repair recovers from a stored value (module docstring)."""
+    return round(value * s / (1 + value))
+
+
+class TestCountRecovery:
+    """The repair reads each entry's common-neighbour count off its float.
+
+    Each of a pair's neighbourhoods holds its c common neighbours and
+    the other node, so c <= s / 2.  These tests cover every c < s, and
+    c = s only where a zero denominator allows it, at s = 0.
+    """
+
+    @staticmethod
+    def stored(c: int, s: int) -> float:
+        # any split of s + 2 into two neighbourhood sizes gives the same value
+        return _candidate_value(c, s // 2 + 1, s - s // 2 + 1)
+
+    def test_every_count_up_to_400(self):
+        assert recovered_count(self.stored(0, 0), 0) == 0
+        for s in range(1, 401):
+            for c in range(s):
+                assert recovered_count(self.stored(c, s), s) == c
+
+    def test_sampled_counts_near_the_bound(self):
+        # s = |MN(x)| + |MN(y)| - 2 <= 2(n - 1) - 2 < 2**27 for n < 2**26
+        rng = random.Random(5)
+        for _ in range(20000):
+            s = rng.randrange((1 << 26) - (1 << 20), (1 << 27) - 4)
+            for c in (rng.randrange(s), 0, 1, s // 2, s - 1):
+                assert recovered_count(self.stored(c, s), s) == c
+
+    def test_both_ways_to_store_one(self):
+        # den = 0 forces c = s = 0; c = den means c = s / 2
+        assert self.stored(0, 0) == 1.0 and recovered_count(1.0, 0) == 0
+        for c in (1, 7, 1 << 25):
+            assert self.stored(c, 2 * c) == 1.0
+            assert recovered_count(1.0, 2 * c) == c
+
 
 class TestLexSelection:
     """Lex selection from a lazy heap per bucket equals ``min(bucket)``."""
-
-    @staticmethod
-    def min_bucket_min(table):
-        return min(table._buckets[table._peek_min()])
 
     def test_random_removals(self):
         rng = random.Random(17)
@@ -376,11 +373,11 @@ class TestLexSelection:
         for _ in range(30):
             net = random_network(rng, max_nodes=24, max_layers=3)
             for alpha in range(1, net.layer_count + 1):
-                table = clecc_table(net.copy(), alpha)
                 work = net.copy()
+                table = clecc_table(work, alpha)
                 while len(table):
                     key = table._select_min_lex()
-                    assert key == self.min_bucket_min(table)
+                    assert key == min(table._buckets[table._peek_min()])
                     # a key pushed again before its stale copy left the heap
                     returned += any(
                         len(h) != len(set(h)) for h in table._lex_heaps.values()

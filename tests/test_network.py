@@ -179,6 +179,21 @@ class TestRemovePairEdges:
             demo_network().remove_pair_edges("x", "nope")
 
 
+def bfs_distances(adj, start):
+    """Hop distance from start to every node it reaches: the split oracle."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 class TestConnectedComponents:
     """Components of the alpha-flattened graph, as the detector splits them."""
 
@@ -206,25 +221,7 @@ class TestConnectedComponents:
         assert _split_components(adj, 0, 2) == ({0, 1}, {2})
         assert _split_components(adj, 2, 1) == ({2}, {0, 1})
 
-
-def bfs_distances(adj, start):
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
-class TestSplitAgainstBfs:
-    """``_split_components`` against a plain BFS under random deletions."""
-
-    def test_random_deletions(self):
+    def test_matches_bfs_under_random_deletions(self):
         rng = random.Random(23)
         outcomes = {"2-hop": 0, "3-hop": 0, "longer": 0, "separated": 0}
         for _ in range(40):
