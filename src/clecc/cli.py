@@ -141,11 +141,15 @@ def _cmd_detect(args) -> str:
         if args.seed is not None:
             raise UsageError("--seed only applies with --ties random")
         policy = Lexicographic()
+    try:
+        validity = parse_validity(args.validity)
+    except InvalidParamsError as exc:
+        raise UsageError(str(exc)) from None
     if args.oracle and args.ties != "lex":
         raise UsageError("--oracle needs --ties lex (random runs are not comparable)")
     config = DetectionConfig(
         alpha=args.alpha,
-        validity=parse_validity(args.validity),
+        validity=validity,
         tie_policy=policy,
         log_removals=args.log_removals,
     )
@@ -245,6 +249,11 @@ def cli_main(argv: list[str]) -> int:
             print(parser.format_usage(), end="", file=sys.stderr)
             return 1
         text = args.handler(args)
+        output = getattr(args, "output", None)
+        if output:
+            Path(output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -260,11 +269,6 @@ def cli_main(argv: list[str]) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -194,8 +194,7 @@ def validate_group(
     connects it in any direction.
     """
     idx = {net.node_index(label) for label in members}
-    flat1 = net._alpha_adjacency(1) if net.layer_count else [set()] * net.node_count
-    return _condition_holds(condition, idx, flat1)
+    return _condition_holds(condition, idx, net._alpha_adjacency(1))
 
 
 def select_min_pair(
@@ -337,7 +336,7 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
         # order, which fixes the order in which pairs enter each value
         # bucket and so every SeededRandom draw
         for e in (i, j):
-            adj[e] = {z for z in net._nbr_layers[e] if z in adj[e]}
+            adj[e] = {z for z in net._links[e] if z in adj[e]}
         _repair(table, adj, (i, j))
 
         split = _split_components(adj, i, j)

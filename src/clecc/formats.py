@@ -127,13 +127,20 @@ def write_edge_list(
     """Serialize a network as edge-list text, sorted canonically.
 
     Re-parsing the output reproduces the exact edge multiset.  Labels
-    containing the delimiter or a newline, and source labels starting
-    with ``#``, cannot round-trip and are rejected, as is an empty
-    ``delimiter``.
+    that are empty, have surrounding whitespace (the parser strips it),
+    or contain the delimiter or a line break, and source labels
+    starting with ``#``, cannot round-trip and are rejected, as is an
+    empty ``delimiter``.  Without ``header``, a first row that spells
+    the header would be skipped on reading, so it is rejected too.
     """
     _check_delimiter(delimiter)
     for label in list(net.nodes()) + list(net.layers()):
-        if delimiter in label or "\n" in label or "\r" in label:
+        if not label or label != label.strip():
+            raise ValueError(
+                f"label {label!r} is empty or has surrounding whitespace and "
+                "cannot be written as an edge list"
+            )
+        if delimiter in label or len(label.splitlines()) > 1:
             raise ValueError(
                 f"label {label!r} contains the delimiter or a newline and "
                 "cannot be written as an edge list"
@@ -144,6 +151,10 @@ def write_edge_list(
             raise ValueError(
                 f"source label {src!r} starts with '#' and would parse as a comment"
             )
+    if not header and rows and rows[0] == _HEADER_FIELDS:
+        raise ValueError(
+            f"first row {rows[0]!r} would parse as a header; write with header=True"
+        )
     lines = [delimiter.join(_HEADER_FIELDS)] if header else []
     lines.extend(delimiter.join(row) for row in rows)
     return "\n".join(lines) + "\n"

@@ -12,9 +12,9 @@ either way.  ``multilayer_neighborhood(x, alpha)`` collects the nodes
 tied to ``x`` on at least ``alpha`` distinct layers.
 
 Externally nodes and layers are identified by opaque string labels;
-internally everything runs on dense integer indices, with a per-node
-count of how many layers connect it to each neighbour so that
-threshold queries are single scans rather than per-layer loops.
+internally everything runs on dense integer indices.  Each node keeps
+one link map holding a layer-bitmask per linked pair, so threshold
+queries are single scans of one dict.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ class MultiLayerNetwork:
     Nodes and layers register automatically on first use in
     :meth:`add_edge`; isolated nodes and empty layers can be declared
     explicitly with :meth:`add_node` / :meth:`add_layer`.
+
+    ``_links[x][y]`` has bit ``2l`` set for an edge x -> y on layer l
+    and bit ``2l + 1`` for y -> x; the key exists only while an edge
+    joins the pair.  The pair's edge count is the mask's popcount, and
+    the number of layers linking it either way is the popcount of
+    ``(m | m >> 1) & _even_bits``, the mask of bit 2l for every layer.
     """
 
     def __init__(self):
@@ -45,12 +51,9 @@ class MultiLayerNetwork:
         self._node_labels: list[str] = []
         self._layer_index: dict[str, int] = {}
         self._layer_labels: list[str] = []
-        # adjacency[node][layer] -> set of neighbour indices
-        self._out: list[list[set[int]]] = []
-        self._in: list[list[set[int]]] = []
-        # per node: neighbour index -> number of layers with an edge in
-        # either direction (the basis of all alpha-threshold queries)
-        self._nbr_layers: list[dict[int, int]] = []
+        # per node: neighbour index -> layer-bitmask of the pair's edges
+        self._links: list[dict[int, int]] = []
+        self._even_bits = 0
         self._edge_count = 0
 
     # -- registration -------------------------------------------------
@@ -62,10 +65,7 @@ class MultiLayerNetwork:
             idx = len(self._node_labels)
             self._node_index[label] = idx
             self._node_labels.append(label)
-            width = len(self._layer_labels)
-            self._out.append([set() for _ in range(width)])
-            self._in.append([set() for _ in range(width)])
-            self._nbr_layers.append({})
+            self._links.append({})
         return idx
 
     def add_layer(self, label: str) -> int:
@@ -75,10 +75,7 @@ class MultiLayerNetwork:
             idx = len(self._layer_labels)
             self._layer_index[label] = idx
             self._layer_labels.append(label)
-            for row in self._out:
-                row.append(set())
-            for row in self._in:
-                row.append(set())
+            self._even_bits |= 1 << 2 * idx
         return idx
 
     def add_edge(self, source: str, target: str, layer: str) -> None:
@@ -92,19 +89,17 @@ class MultiLayerNetwork:
             raise SelfLoopError(f"self-loop on node {source!r} is not allowed")
         x = self.add_node(source)
         y = self.add_node(target)
-        l = self.add_layer(layer)
-        if y in self._out[x][l]:
+        bit = 1 << 2 * self.add_layer(layer)
+        out = self._links[x]
+        mask = out.get(y, 0)
+        if mask & bit:
             raise DuplicateEdgeError(
                 f"edge ({source!r}, {target!r}, {layer!r}) already present"
             )
-        # the test above ruled out x -> y, so only y -> x can join them
-        connected_before = y in self._in[x][l]
-        self._out[x][l].add(y)
-        self._in[y][l].add(x)
+        out[y] = mask | bit
+        back = self._links[y]
+        back[x] = back.get(x, 0) | bit << 1
         self._edge_count += 1
-        if not connected_before:
-            self._nbr_layers[x][y] = self._nbr_layers[x].get(y, 0) + 1
-            self._nbr_layers[y][x] = self._nbr_layers[y].get(x, 0) + 1
 
     def remove_pair_edges(self, x: str, y: str) -> int:
         """Delete every edge between x and y, all layers and directions.
@@ -116,14 +111,9 @@ class MultiLayerNetwork:
         j = self._require_node(y)
         if i == j:
             raise SelfLoopError(f"cannot remove pair edges of {x!r} with itself")
-        removed = self._pair_edge_count(i, j)
-        for a, b in ((i, j), (j, i)):
-            for targets in self._out[a] + self._in[a]:
-                targets.discard(b)
-        if removed:
-            self._nbr_layers[i].pop(j)
-            self._nbr_layers[j].pop(i)
-            self._edge_count -= removed
+        removed = self._links[i].pop(j, 0).bit_count()
+        self._links[j].pop(i, None)
+        self._edge_count -= removed
         return removed
 
     # -- basic accessors ----------------------------------------------
@@ -160,18 +150,19 @@ class MultiLayerNetwork:
         l = self._layer_index.get(layer)
         if x is None or y is None or l is None:
             return False
-        return y in self._out[x][l]
+        return bool(self._links[x].get(y, 0) >> 2 * l & 1)
 
     def edges(self) -> Iterator[tuple[str, str, str]]:
         """Yield (source, target, layer) triples in a deterministic order.
 
         Order is source registration order, then layer registration
-        order, then target label order within each adjacency set.
+        order, then target label order within each layer.
         """
         labels = self._node_labels
-        for x, row in enumerate(self._out):
-            for l, targets in enumerate(row):
-                layer = self._layer_labels[l]
+        for x, links in enumerate(self._links):
+            for l, layer in enumerate(self._layer_labels):
+                bit = 1 << 2 * l
+                targets = [y for y, m in links.items() if m & bit]
                 for y in sorted(targets, key=labels.__getitem__):
                     yield labels[x], labels[y], layer
 
@@ -191,34 +182,35 @@ class MultiLayerNetwork:
         """Number of layers carrying an edge between x and y, either way."""
         i = self._require_node(x)
         j = self._require_node(y)
-        return self._nbr_layers[i].get(j, 0)
+        m = self._links[i].get(j, 0)
+        return ((m | m >> 1) & self._even_bits).bit_count()
 
     # -- neighbourhoods ------------------------------------------------
 
     def neighborhood(self, x: str, layer: str) -> set[str]:
         """Nodes connected to x on the given layer, in either direction."""
         i = self._require_node(x)
-        l = self._require_layer(layer)
+        shift = 2 * self._require_layer(layer)
         labels = self._node_labels
-        return {labels[j] for j in self._out[i][l] | self._in[i][l]}
+        return {labels[j] for j, m in self._links[i].items() if m >> shift & 3}
 
     def multilayer_neighborhood(self, x: str, alpha: int) -> set[str]:
         """Nodes connected to x on at least ``alpha`` distinct layers."""
         i = self._require_node(x)
         self._check_alpha(alpha)
         labels = self._node_labels
-        return {labels[j] for j, c in self._nbr_layers[i].items() if c >= alpha}
+        return {labels[j] for j in self._mn_idx(i, alpha)}
 
     def project_layer(self, layer: str) -> "MultiLayerNetwork":
         """Single-layer network with all nodes and only this layer's edges."""
-        l = self._require_layer(layer)
+        bit = 1 << 2 * self._require_layer(layer)
         net = MultiLayerNetwork()
         for label in self._node_labels:
             net.add_node(label)
         net.add_layer(layer)
         labels = self._node_labels
-        for x, row in enumerate(self._out):
-            for y in sorted(row[l]):
+        for x, links in enumerate(self._links):
+            for y in sorted(y for y, m in links.items() if m & bit):
                 net.add_edge(labels[x], labels[y], layer)
         return net
 
@@ -229,9 +221,8 @@ class MultiLayerNetwork:
         net._node_labels = list(self._node_labels)
         net._layer_index = dict(self._layer_index)
         net._layer_labels = list(self._layer_labels)
-        net._out = [[set(s) for s in row] for row in self._out]
-        net._in = [[set(s) for s in row] for row in self._in]
-        net._nbr_layers = [dict(d) for d in self._nbr_layers]
+        net._links = [dict(d) for d in self._links]
+        net._even_bits = self._even_bits
         net._edge_count = self._edge_count
         return net
 
@@ -259,16 +250,20 @@ class MultiLayerNetwork:
 
     def _pair_edge_count(self, i: int, j: int) -> int:
         """Directed edges between node indices i and j, all layers."""
-        return sum(j in targets for targets in self._out[i] + self._in[i])
+        return self._links[i].get(j, 0).bit_count()
 
     def _mn_idx(self, i: int, alpha: int) -> set[int]:
-        """Multi-layered neighbourhood of node index i, as indices."""
-        return {j for j, c in self._nbr_layers[i].items() if c >= alpha}
+        """Multi-layered neighbourhood of node index i, as indices.
+
+        Built key by key, never as ``set(links)``: a presized set
+        iterates in another order, which changes ``SeededRandom`` draws.
+        """
+        links = self._links[i]
+        if alpha == 1:  # every key is linked on some layer
+            return {j for j in links}
+        even = self._even_bits
+        return {j for j, m in links.items() if ((m | m >> 1) & even).bit_count() >= alpha}
 
     def _alpha_adjacency(self, alpha: int) -> list[set[int]]:
         """Fresh undirected index adjacency of the alpha-threshold graph."""
-        return [
-            {j for j, c in counts.items() if c >= alpha}
-            for counts in self._nbr_layers
-        ]
-
+        return [self._mn_idx(i, alpha) for i in range(len(self._links))]

@@ -100,6 +100,38 @@ def test_detect_output_file(barbell_csv, tmp_path, capsys):
     assert json.loads(dest.read_text())["alpha"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--alpha", "1"],
+        [
+            "generate", "planted", "--sizes", "4,4", "--layers", "1",
+            "--p-in", "0.5", "--p-out", "0.1", "--seed", "5",
+        ],
+    ],
+    ids=["detect", "generate-planted"],
+)
+def test_unwritable_output_is_data_error(barbell_csv, tmp_path, capsys, argv):
+    if argv[0] == "detect":
+        argv = argv + ["--input", barbell_csv]
+    code = cli_main(argv + ["--output", str(tmp_path / "missing-dir" / "out")])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("validity", ["bogus", "min-size:0", "min-size:x"])
+def test_detect_bad_validity_is_usage_error(barbell_csv, capsys, validity):
+    code = cli_main(
+        ["detect", "--input", barbell_csv, "--alpha", "1", "--validity", validity]
+    )
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("usage error: ") and out.err.count("\n") == 1
+
+
 def test_detect_oracle_flag(barbell_csv, capsys):
     code = cli_main(
         [

@@ -191,10 +191,29 @@ class TestWriteEdgeList:
     def test_rejects_unwritable_labels(self):
         from clecc import MultiLayerNetwork
 
+        cases = [
+            (("a,comma", "b", "l1"), True),
+            ((" a", "b", "l1"), True),
+            (("a", "b ", "l1"), True),
+            (("a", "b", "\tl1"), True),
+            (("", "b", "l1"), True),
+            (("a", "b", ""), True),
+            (("a\u2028z", "b", "l1"), True),
+            (("source", "target", "layer"), False),
+        ]
+        for edge, header in cases:
+            net = MultiLayerNetwork()
+            net.add_edge(*edge)
+            with pytest.raises(ValueError):
+                write_edge_list(net, header=header)
+
+    def test_header_like_row_round_trips_with_header(self):
+        from clecc import MultiLayerNetwork
+
         net = MultiLayerNetwork()
-        net.add_edge("a,comma", "b", "l1")
-        with pytest.raises(ValueError):
-            write_edge_list(net)
+        net.add_edge("source", "target", "layer")
+        back = parse_edge_list(write_edge_list(net)).network
+        assert list(back.edges()) == [("source", "target", "layer")]
 
 
 class TestWriteResult:

@@ -303,5 +303,80 @@ class TestCopy:
             for src, dst, layer in net.edges():
                 i, j = net.node_index(src), net.node_index(dst)
                 l = net.layer_index(layer)
-                assert j in net._out[i][l]
-                assert i in net._in[j][l]
+                assert net._links[i][j] >> 2 * l & 1
+                assert net._links[j][i] >> 2 * l + 1 & 1
+            popcounts = sum(m.bit_count() for links in net._links for m in links.values())
+            assert net.edge_count == popcounts // 2
+
+
+def _assert_matches_model(net, triples, nodes, layers):
+    """Every query on ``net`` agrees with the plain set of (source, target, layer)."""
+    rank = {x: k for k, x in enumerate(nodes)}
+    layer_rank = {l: k for k, l in enumerate(layers)}
+    assert net.nodes() == nodes
+    assert net.layers() == layers
+    assert net.edge_count == len(triples)
+    assert list(net.edges()) == sorted(
+        triples, key=lambda t: (rank[t[0]], layer_rank[t[2]], t[1])
+    )
+    linked = {}
+    for x, y, layer in triples:
+        linked.setdefault(frozenset((x, y)), set()).add(layer)
+    for x in nodes:
+        for layer in layers:
+            assert net.neighborhood(x, layer) == {
+                y for y in nodes if layer in linked.get(frozenset((x, y)), ())
+            }
+        for y in nodes:
+            if x == y:
+                continue
+            for layer in layers:
+                assert net.has_edge(x, y, layer) == ((x, y, layer) in triples)
+            assert net.layers_connecting(x, y) == len(linked.get(frozenset((x, y)), ()))
+        for alpha in range(1, len(layers) + 1):
+            assert net.multilayer_neighborhood(x, alpha) == {
+                y for y in nodes if len(linked.get(frozenset((x, y)), ())) >= alpha
+            }
+
+
+class TestPlainModel:
+    """The network against a plain set of triples, including many layers."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_build_removals_and_copy(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        width = 40 if seed == 0 else rng.randint(1, 5)
+        pool = [f"{c}{k}" for k, c in enumerate(rng.sample("qwertyuiopasdf", n))]
+        layer_pool = [f"L{rng.randrange(100)}_{k}" for k in range(width)]
+        candidates = [(x, y, l) for x in pool for y in pool if x != y for l in layer_pool]
+        triples = set(rng.sample(candidates, rng.randint(0, len(candidates) // 2)))
+
+        net = MultiLayerNetwork()
+        nodes, layers = [], []
+        for label in rng.sample(pool, rng.randint(0, n)):
+            net.add_node(label)
+            nodes.append(label)
+        for label in rng.sample(layer_pool, rng.randint(0, width)):
+            net.add_layer(label)
+            layers.append(label)
+        for x, y, l in rng.sample(sorted(triples), len(triples)):
+            net.add_edge(x, y, l)
+            for label, seen in ((x, nodes), (y, nodes), (l, layers)):
+                if label not in seen:
+                    seen.append(label)
+        for x, y, l in rng.sample(sorted(triples), min(5, len(triples))):
+            with pytest.raises(DuplicateEdgeError):
+                net.add_edge(x, y, l)
+        _assert_matches_model(net, triples, nodes, layers)
+
+        for _ in range(rng.randint(1, 2 * n)):
+            if len(nodes) < 2:
+                break
+            snapshot, dup = set(triples), net.copy()
+            x, y = rng.sample(nodes, 2)
+            between = {t for t in triples if {t[0], t[1]} == {x, y}}
+            assert net.remove_pair_edges(x, y) == len(between)
+            triples -= between
+            _assert_matches_model(net, triples, nodes, layers)
+            _assert_matches_model(dup, snapshot, nodes, layers)
