@@ -290,14 +290,13 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
     n = net.node_count
     if n == 0:
         raise EmptyNetworkError("detection needs at least one node")
-    net._check_alpha(config.alpha)
     if isinstance(config.tie_policy, SeededRandom):
         rng = random.Random(config.tie_policy.seed)
     else:
         rng = None
 
     table = clecc_table(net, config.alpha)
-    adj = net._alpha_adjacency(config.alpha)
+    adj = table._mn
     labels = net._node_labels
     flat1: list[set[int]] | None = None  # built on first weak/strong check
 
@@ -327,17 +326,9 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
         key = _select_min_key(table, config.tie_policy, rng)
         i, j = table._pair(key)
         if config.log_removals:
-            value, edges_removed = table._values[key], net._pair_edge_count(i, j)
+            value, edges_removed = table._value(key), net._pair_edge_count(i, j)
             removals.append(RemovalRecord(step, table._labels(key), value, edges_removed))
-        adj[i].discard(j)
-        adj[j].discard(i)
-        # rebuild both endpoint sets in the input's neighbour order, as a
-        # fresh neighbourhood query would: that keeps the repair's visit
-        # order, which fixes the order in which pairs enter each value
-        # bucket and so every SeededRandom draw
-        for e in (i, j):
-            adj[e] = {z for z in net._links[e] if z in adj[e]}
-        _repair(table, adj, (i, j))
+        _repair(table, net._links, (i, j))
 
         split = _split_components(adj, i, j)
         if split is None:

@@ -40,10 +40,15 @@ def nmi(a: Iterable[Collection[str]], b: Iterable[Collection[str]]) -> float:
     blocks_b = [frozenset(block) for block in b]
     map_a = _block_map(blocks_a, "first")
     map_b = _block_map(blocks_b, "second")
-    if set(map_a) != set(map_b):
+    if map_a.keys() != map_b.keys():
+        only_a = map_a.keys() - map_b.keys()
+        if only_a:
+            side, node = "first", min(only_a, key=str)
+        else:
+            side, node = "second", min(map_b.keys() - map_a.keys(), key=str)
         raise DomainMismatchError(
-            "partitions cover different node sets "
-            f"({len(map_a)} vs {len(map_b)} nodes)"
+            f"partitions cover different node sets: node {node!r} is only in "
+            f"the {side} partition ({len(map_a)} vs {len(map_b)} nodes)"
         )
     if set(blocks_a) == set(blocks_b):
         return 1.0

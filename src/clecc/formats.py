@@ -223,12 +223,16 @@ def partition_from_json(text: str) -> list[set[str]]:
 
     Accepts both a bare partition document and a full detection result
     (any extra keys are ignored); a group is an object with a ``nodes``
-    list, or a bare list.  Other shapes raise :class:`MalformedPartitionError`.
+    list, or a bare list.  Every node label must be a JSON string; it is
+    never coerced.  Other shapes, and JSON nested too deeply to parse,
+    raise :class:`MalformedPartitionError`.
     """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedPartitionError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedPartitionError("JSON is nested too deeply to read") from None
     if not isinstance(payload, dict):
         raise MalformedPartitionError("partition JSON must be an object")
     groups = payload.get("groups", [])
@@ -240,7 +244,13 @@ def partition_from_json(text: str) -> list[set[str]]:
         nodes = group.get("nodes") if isinstance(group, dict) else group
         if not isinstance(nodes, list):
             raise MalformedPartitionError(f"group {position} has no list of nodes")
-        blocks.append({str(n) for n in nodes})
-    for singleton in singletons:
-        blocks.append({str(singleton)})
+        if not all(isinstance(n, str) for n in nodes):
+            raise MalformedPartitionError(
+                f"group {position} has a node that is not a string"
+            )
+        blocks.append(set(nodes))
+    for position, singleton in enumerate(singletons):
+        if not isinstance(singleton, str):
+            raise MalformedPartitionError(f"singleton {position} is not a string")
+        blocks.append({singleton})
     return blocks

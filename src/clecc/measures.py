@@ -17,8 +17,11 @@ repairs such a table exactly after all edges of one pair were deleted:
 only entries containing one of the two endpoints can change, because a
 pair's value depends solely on the neighbourhoods of its members.
 
-Values are stored as floats, and floats are exact here.  A value is a
-fraction ``inter / den`` in [0, 1] with ``den <= n - 2 < N = n``.  Two
+The table stores each pair's common-neighbour count ``c`` and owns
+the working alpha adjacency ``MN`` the counts refer to.  A value is
+derived when needed as ``c / (|MN(x)| + |MN(y)| - 2 - c)``, or 1.0
+when that denominator is 0.  The floats are exact: a value is a
+fraction in [0, 1] whose denominator is at most n - 2 < N = n.  Two
 distinct such fractions differ by at least 1/N**2; a correctly rounded
 quotient lies within 2**-54 of its fraction.  While N < 2**26 (checked
 when a table is built) 1/N**2 > 2**-52, so equal fractions give equal
@@ -26,7 +29,7 @@ floats, distinct ones distinct floats in the same order, and each float
 is nearer its fraction than any other with denominator <= N.  So
 ``CleccTable.value`` and ``min_value`` return the exact
 :class:`fractions.Fraction` via ``limit_denominator(n)``, and ``items``
-yields the stored floats in sorted pair order, each pair label-sorted.
+yields the derived floats in sorted pair order, each pair label-sorted.
 
 ``clecc_table`` counts common neighbours with bitmasks where a bitmask
 is no larger than the set it sits beside.  A node with at least n / 256
@@ -36,23 +39,14 @@ any other pair takes ``len(a & b)`` of the two neighbour sets.  An
 n-bit int takes about n / 8 bytes and a set about 40 bytes per member,
 so at least n / 6.4 bytes here; a sparse input builds no bitmask.
 
-The repair after a removal intersects no sets: it recovers each
-entry's common-neighbour count from its stored float.  For a pair
-with ``c`` common neighbours and ``s = |MN(x)| + |MN(y)| - 2`` the
-stored value is ``v = fl(c / (s - c))``, and ``v = 1.0`` when
-``s - c = 0``, which forces ``c = s = 0``.  Solving ``v = c / (s - c)``
-gives ``c = v * s / (1 + v)``, and that formula also yields 0 for the
-zero-denominator case.  Computing it rounds four times (the stored
-quotient, the product, the sum and the division), so it lies within a
-relative error of about 5 * 2**-53 of c; as c <= s <= 2(n - 1) < 2**27,
-the absolute error stays below 2**-23, far under 1/2, and ``round``
-returns ``c`` exactly.  Removing {i, j} lowers the count of an entry
-(e, z), e one of the endpoints, by one exactly when z is a common
-neighbour of i and j, and lowers ``s`` by one.  So one intersection
-per removal, ``MN(i) & MN(j)``, serves every entry.  The recovery
-takes each stored value to match the neighbourhoods as they were just
-before the removal, so ``update_after_removal`` trusts the table to
-match the network as it stood then.
+The repair after a removal intersects no sets per entry.  Removing
+{i, j} touches only the entries (e, z) with e one of the endpoints.
+Such an entry's union ``(MN(e) | MN(z)) - {e, z}`` held the other
+endpoint.  Exactly when z is a common neighbour of i and j, that
+endpoint stays in the union and leaves the intersection, so ``c``
+drops by one.  Otherwise it leaves the union and ``c`` stays.  So one
+intersection per removal, ``MN(i) & MN(j)``, serves every entry, and
+the table's own adjacency gives each old and new value.
 """
 
 from __future__ import annotations
@@ -117,10 +111,12 @@ def _check_float_exact(n: int) -> None:
 class CleccTable:
     """Mapping from unordered candidate node pair to its exact value.
 
-    Besides plain lookups the table maintains a value-bucket index and
-    a lazy min-heap so the current minimum value, and the full set of
-    pairs attaining it, are available cheaply — that is what the
-    divisive detector loops over.  A pair is keyed by one int,
+    The table owns the working alpha adjacency ``_mn`` and stores each
+    pair's common-neighbour count, from which its value is derived.
+    From the first selection or repair on it also keeps a value-bucket
+    index and a lazy min-heap so the current minimum value, and the
+    full set of pairs attaining it, are available cheaply — that is
+    what the divisive detector loops over.  A pair is keyed by one int,
     ``lo * n + hi`` with ``lo < hi`` the ranks of its nodes in label
     order, so the smallest key in a bucket is its label-wise smallest
     pair; lex selection finds it with a lazy min-heap of keys for each
@@ -128,7 +124,9 @@ class CleccTable:
     built; the public surface speaks labels.
     """
 
-    def __init__(self, alpha: int, index_of: dict[str, int], label_of: list[str]):
+    def __init__(
+        self, alpha: int, index_of: dict[str, int], label_of: list[str], mn: list[set[int]]
+    ):
         n = len(label_of)
         _check_float_exact(n)
         self.alpha = alpha
@@ -137,8 +135,10 @@ class CleccTable:
         self._n = n
         self._by_rank = sorted(range(n), key=label_of.__getitem__)
         self._rank = sorted(range(n), key=self._by_rank.__getitem__)  # inverse
-        self._values: dict[int, float] = {}
-        self._buckets: dict[float, dict[int, None]] = {}
+        self._mn = mn
+        self._counts: dict[int, int] = {}
+        # value -> its keys in the order they entered; built on first use
+        self._buckets: dict[float, dict[int, None]] | None = None
         self._heap: list[float] = []
         # value -> lazy min-heap holding every key of that bucket (and
         # possibly keys that left it), built on first lex selection
@@ -147,16 +147,16 @@ class CleccTable:
     # -- public, label-based ------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._counts)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return self._key_from_labels(pair) in self._values
+        return self._key_from_labels(pair) in self._counts
 
     def value(self, x: str, y: str) -> Fraction:
-        value = self._values.get(self._key_from_labels((x, y)))
-        if value is None:
+        key = self._key_from_labels((x, y))
+        if key not in self._counts:
             raise KeyError(f"no table entry for pair ({x!r}, {y!r})")
-        return Fraction(value).limit_denominator(self._n)
+        return Fraction(self._value(key)).limit_denominator(self._n)
 
     def items(self) -> Iterator[tuple[tuple[str, str], float]]:
         """Yield ((label_a, label_b), value), each pair label-sorted, in pair order.
@@ -164,14 +164,13 @@ class CleccTable:
         Keys over label ranks sort as their label pairs do, so this is
         ``sorted`` order on the pairs.
         """
-        values = self._values
-        return ((self._labels(key), values[key]) for key in sorted(values))
+        return ((self._labels(key), self._value(key)) for key in sorted(self._counts))
 
     def pairs(self) -> list[tuple[str, str]]:
-        return [self._labels(key) for key in sorted(self._values)]
+        return [self._labels(key) for key in sorted(self._counts)]
 
     def min_value(self) -> Fraction:
-        """Smallest value currently stored; EmptyTableError when empty."""
+        """Smallest value in the table; EmptyTableError when empty."""
         return Fraction(self._peek_min()).limit_denominator(self._n)
 
     def as_dict(self) -> dict[tuple[str, str], float]:
@@ -199,30 +198,37 @@ class CleccTable:
         j = self._index_of.get(pair[1], self._n)
         return self._key(i, j) if max(i, j) < self._n else None
 
-    def _insert(self, key: int, value: float) -> None:
-        """Store the value of a pair that has no entry yet."""
-        self._values[key] = value
-        bucket = self._buckets.get(value)
-        if bucket is None:
-            self._buckets[value] = {key: None}
-            heapq.heappush(self._heap, value)
-        else:
-            bucket[key] = None
-            lex_heap = self._lex_heaps.get(value)
-            if lex_heap is not None:
-                heapq.heappush(lex_heap, key)
+    def _value(self, key: int) -> float:
+        """Value of a stored pair, from its count and the current sizes."""
+        lo, hi = divmod(key, self._n)
+        mn, by_rank = self._mn, self._by_rank
+        return _candidate_value(
+            self._counts[key], len(mn[by_rank[lo]]), len(mn[by_rank[hi]])
+        )
+
+    def _index(self) -> dict[float, dict[int, None]]:
+        """The value buckets, built from the counts in their order if absent."""
+        if self._buckets is None:
+            buckets = self._buckets = {}
+            for key in self._counts:
+                buckets.setdefault(self._value(key), {})[key] = None
+            self._heap = sorted(buckets)  # a sorted list is a min-heap
+        return self._buckets
 
     def _delete(self, key: int) -> None:
-        value = self._values.pop(key)
-        bucket = self._buckets[value]
+        buckets = self._index()
+        value = self._value(key)
+        del self._counts[key]
+        bucket = buckets[value]
         del bucket[key]
         if not bucket:
-            del self._buckets[value]
+            del buckets[value]
             self._lex_heaps.pop(value, None)
 
     def _peek_min(self) -> float:
+        buckets = self._index()
         heap = self._heap
-        while heap and heap[0] not in self._buckets:
+        while heap and heap[0] not in buckets:
             heapq.heappop(heap)
         if not heap:
             raise EmptyTableError("the table has no entries")
@@ -242,7 +248,8 @@ class CleccTable:
         return heap[0]
 
     def _select_min_random(self, rng: random.Random) -> int:
-        bucket = self._buckets[self._peek_min()]
+        value = self._peek_min()  # builds _buckets before it is read
+        bucket = self._buckets[value]
         pick = rng.randrange(len(bucket))
         return next(islice(iter(bucket), pick, None))
 
@@ -298,19 +305,18 @@ def clecc(net: MultiLayerNetwork, x: str, y: str, alpha: int) -> float:
 def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
     """Evaluate the measure for every pair connected on >= alpha layers."""
     net._check_alpha(alpha)
-    table = CleccTable(alpha, net._node_index, net._node_labels)
     mn = net._alpha_adjacency(alpha)
+    table = CleccTable(alpha, net._node_index, net._node_labels, mn)
+    counts, key = table._counts, table._key
     bits = _bitmasks(mn)
     for i, a in enumerate(mn):
         bits_i = bits.get(i)
         for j in a:
             if j > i:
-                b = mn[j]
                 if bits_i is None or j not in bits:
-                    inter = len(a & b)
+                    counts[key(i, j)] = len(a & mn[j])
                 else:
-                    inter = (bits_i & bits[j]).bit_count()
-                table._insert(table._key(i, j), _candidate_value(inter, len(a), len(b)))
+                    counts[key(i, j)] = (bits_i & bits[j]).bit_count()
     return table
 
 
@@ -320,71 +326,70 @@ def update_after_removal(
     """Repair a table right after ``net.remove_pair_edges(x, y)``.
 
     Drops the {x, y} entry and recomputes every entry containing x or
-    y against the current network.  No other entry can have changed:
-    a value depends only on the neighbourhoods of its own two nodes,
-    and deleting x–y edges alters only the neighbourhoods of x and y.
-    The table must match the network as it was before this removal
-    (each entry's old common-neighbour count is read back from its
-    value); then it ends up identical to a from-scratch rebuild.
-    Mutates and returns ``table``.
+    y.  No other entry can have changed: a value depends only on the
+    neighbourhoods of its own two nodes, and deleting x–y edges alters
+    only the neighbourhoods of x and y.  The table must match the
+    network as it was before this removal (its own adjacency and counts
+    are what it repairs); then it ends up identical to a from-scratch
+    rebuild.  Mutates and returns ``table``.
     """
     i = net.node_index(x)
     j = net.node_index(y)
-    pair = (i, j) if i < j else (j, i)
-    if table._key(i, j) not in table._values:
+    if table._key(i, j) not in table._counts:
         raise InconsistentTableError(
             f"pair ({x!r}, {y!r}) has no table entry; the table does not "
             "match the network this removal was applied to"
         )
-    alpha = table.alpha
-    mn = {z: net._mn_idx(z, alpha) for e in pair for z in (e, *net._mn_idx(e, alpha))}
-    _repair(table, mn, pair)
+    _repair(table, net._links, (i, j) if i < j else (j, i))
     return table
 
 
-def _repair(table: CleccTable, mn, pair: tuple[int, int]) -> None:
-    """Drop ``pair`` and recompute every entry containing one of its nodes.
+def _repair(table: CleccTable, links: list[dict[int, int]], pair: tuple[int, int]) -> None:
+    """Drop index-sorted ``pair`` from the table and its adjacency, fix the rest.
 
-    ``pair`` is index-sorted and ``mn[v]`` (a list or dict) is node v's
-    neighbourhood after the removal, for both endpoints and all their
-    neighbours; the table still holds the values from before it.  Each
-    entry's old common-neighbour count comes back from its stored value
-    (see the module docstring).  Entries are rewritten endpoint by
-    endpoint in that order, each in its set's iteration order: this
-    fixes the order in which pairs enter each value bucket, and so
-    every SeededRandom draw.
+    The entry goes while both sizes predate the removal.  Each endpoint
+    set is then rebuilt in its ``links`` key order, as a fresh query
+    would build it (a plain ``discard`` leaves another iteration order),
+    and its entries are rewritten in that order, endpoint by endpoint:
+    this fixes the order in which pairs enter each value bucket, and so
+    every SeededRandom draw.  Old values come from the stored counts.
     """
-    table._delete(table._key(*pair))
-    values, buckets, heap = table._values, table._buckets, table._heap
-    lex_heaps, rank, n = table._lex_heaps, table._rank, table._n
-    heappush = heapq.heappush
-    shared = mn[pair[0]] & mn[pair[1]]
+    i, j = pair
+    table._delete(table._key(i, j))
+    mn = table._mn
+    mn[i].discard(j)
+    mn[j].discard(i)
     for e in pair:
         mn_e = mn[e]
-        # s = |MN(e)| + |MN(z)| - 2 before the removal; e has lost one
-        # neighbour since, z none, so s = len(mn_e) - 1 + len(mn[z])
-        size_e = len(mn_e) - 1
+        mn[e] = {z for z in links[e] if z in mn_e}
+    counts, buckets, heap = table._counts, table._buckets, table._heap
+    lex_heaps, rank, n = table._lex_heaps, table._rank, table._n
+    heappush = heapq.heappush
+    shared = mn[i] & mn[j]
+    for e in pair:
+        mn_e = mn[e]
+        size_e = len(mn_e) - 1  # |MN(e)| - 2 before the removal
         rank_e = rank[e]
         for z in mn_e:
             rank_z = rank[z]
             key = rank_e * n + rank_z if rank_e < rank_z else rank_z * n + rank_e
-            old = values[key]
-            s = size_e + len(mn[z])
-            inter = round(old * s / (1 + old))
-            if z in shared:
-                inter -= 1
-            elif not inter and s > 1:
-                continue  # stays 0 / (s - 1) = 0
-            den = s - 1 - inter
-            value = inter / den if den else 1.0
-            if value == old:
-                continue
+            c = counts[key]
+            # old denominator; the union held the other endpoint, so den >= 1
+            den = size_e + len(mn[z]) - c
+            if z in shared:  # the other endpoint leaves the intersection
+                counts[key] = c - 1
+                old, value = c / den, (c - 1) / den
+            elif c:  # it leaves the union; the c shared nodes stay
+                old, value = c / den, c / (den - 1)
+            elif den == 1:  # e and z are left with only each other
+                old, value = 0.0, 1.0
+            else:
+                continue  # stays 0
             bucket = buckets[old]
             del bucket[key]
             if not bucket:
                 del buckets[old]
                 lex_heaps.pop(old, None)
-            values[key] = value
             bucket = buckets.get(value)
             if bucket is None:
                 buckets[value] = {key: None}

@@ -297,11 +297,12 @@ def test_eval_nmi_domain_mismatch(tmp_path, capsys):
     truth = tmp_path / "truth.json"
     predicted = tmp_path / "pred.json"
     truth.write_text(json.dumps({"groups": [], "singletons": ["a", "b"]}))
-    predicted.write_text(json.dumps({"groups": [], "singletons": ["a"]}))
+    predicted.write_text(json.dumps({"groups": [], "singletons": ["a", "c"]}))
     code = cli_main(["eval", "nmi", "--truth", str(truth), "--predicted", str(predicted)])
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""
+    assert "node 'b' is only in the first partition" in out.err
 
 
 @pytest.mark.parametrize(
@@ -310,8 +311,24 @@ def test_eval_nmi_domain_mismatch(tmp_path, capsys):
         ('{"groups": [{"id": 0}]}', "no list of nodes"),
         ('{"groups": 5}', "must be lists"),
         ('{"groups": [', "not valid JSON"),
+        ('{"groups": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
+        ('{"groups": [["a", null]]}', "group 0 has a node that is not a string"),
+        ('{"groups": [["a"], [true, "b"]]}', "group 1 has a node that is not a string"),
+        ('{"groups": [{"nodes": [{"x": 1}]}]}', "group 0 has a node that is not a string"),
+        ('{"singletons": ["a", ["c"]]}', "singleton 1 is not a string"),
+        ('{"singletons": [1]}', "singleton 0 is not a string"),
     ],
-    ids=["group-without-nodes", "groups-not-a-list", "invalid-json"],
+    ids=[
+        "group-without-nodes",
+        "groups-not-a-list",
+        "invalid-json",
+        "nested-too-deeply",
+        "null-node",
+        "boolean-node",
+        "object-node",
+        "list-singleton",
+        "number-singleton",
+    ],
 )
 def test_eval_nmi_malformed_partition(tmp_path, capsys, text, complaint):
     good = tmp_path / "good.json"

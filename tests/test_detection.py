@@ -232,8 +232,10 @@ class TestSelectMinPair:
 
 
 class TestPublicReplay:
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_seeded_random_run_replays_through_public_repair(self, seed):
+    @pytest.mark.parametrize(
+        "seed, alpha", [(1, 1), (2, 1), (1, 2), (2, 2)], ids=["1", "2", "1-a2", "2-a2"]
+    )
+    def test_seeded_random_run_replays_through_public_repair(self, seed, alpha):
         # label order differs from index order; a never-satisfied validity
         # keeps every removal in the log, so the replay covers the whole run
         base = generate_planted(
@@ -241,19 +243,19 @@ class TestPublicReplay:
         ).network
         net = shuffled_labels(base, seed=4)
         config = DetectionConfig(
-            alpha=1,
+            alpha=alpha,
             validity=MinSize(net.node_count + 1),
             tie_policy=SeededRandom(seed),
         )
         log = run_detection(net, config).removals
-        assert log and len(log) == len(clecc_table(net, 1))
+        assert log and len(log) == len(clecc_table(net, alpha))
 
         work = net.copy()
-        table = clecc_table(work, 1)
+        table = clecc_table(work, alpha)
         rng = random.Random(seed)
         for rec in log:
             pair = select_min_pair(table, config.tie_policy, rng)
             assert (pair, float(table.value(*pair))) == (rec.pair, rec.clecc)
             assert work.remove_pair_edges(*pair) == rec.edges_removed
             update_after_removal(table, work, *pair)
-        assert table.as_dict() == clecc_table(work, 1).as_dict()
+        assert table.as_dict() == clecc_table(work, alpha).as_dict()

@@ -37,8 +37,10 @@ def test_symmetry():
 
 
 def test_domain_mismatch():
-    with pytest.raises(DomainMismatchError):
+    with pytest.raises(DomainMismatchError, match="node 'c' is only in the second"):
         nmi([{"a", "b"}], [{"a", "b", "c"}])
+    with pytest.raises(DomainMismatchError, match="node 'b' is only in the first"):
+        nmi([{"a"}, {"c", "b"}], [{"a", "c", "d"}])
 
 
 def test_overlapping_blocks_rejected():

@@ -21,7 +21,7 @@ from clecc import (
     run_detection,
     update_after_removal,
 )
-from clecc.measures import _bitmasks, _candidate_value, _check_float_exact
+from clecc.measures import _bitmasks, _check_float_exact
 from clecc.reference import naive_clecc
 from conftest import (
     barbell,
@@ -323,45 +323,20 @@ class TestUpdateAfterRemoval:
                     update_after_removal(table, work, *pair)
                     assert table.as_dict() == clecc_table(work, alpha).as_dict()
 
-
-def recovered_count(value: float, s: int) -> int:
-    """The count the repair recovers from a stored value (module docstring)."""
-    return round(value * s / (1 + value))
-
-
-class TestCountRecovery:
-    """The repair reads each entry's common-neighbour count off its float.
-
-    Each of a pair's neighbourhoods holds its c common neighbours and
-    the other node, so c <= s / 2.  These tests cover every c < s, and
-    c = s only where a zero denominator allows it, at s = 0.
-    """
-
-    @staticmethod
-    def stored(c: int, s: int) -> float:
-        # any split of s + 2 into two neighbourhood sizes gives the same value
-        return _candidate_value(c, s // 2 + 1, s - s // 2 + 1)
-
-    def test_every_count_up_to_400(self):
-        assert recovered_count(self.stored(0, 0), 0) == 0
-        for s in range(1, 401):
-            for c in range(s):
-                assert recovered_count(self.stored(c, s), s) == c
-
-    def test_sampled_counts_near_the_bound(self):
-        # s = |MN(x)| + |MN(y)| - 2 <= 2(n - 1) - 2 < 2**27 for n < 2**26
-        rng = random.Random(5)
-        for _ in range(20000):
-            s = rng.randrange((1 << 26) - (1 << 20), (1 << 27) - 4)
-            for c in (rng.randrange(s), 0, 1, s // 2, s - 1):
-                assert recovered_count(self.stored(c, s), s) == c
-
-    def test_both_ways_to_store_one(self):
-        # den = 0 forces c = s = 0; c = den means c = s / 2
-        assert self.stored(0, 0) == 1.0 and recovered_count(1.0, 0) == 0
-        for c in (1, 7, 1 << 25):
-            assert self.stored(c, 2 * c) == 1.0
-            assert recovered_count(1.0, 2 * c) == c
+    def test_adjacency_matches_a_fresh_query(self):
+        # set contents and iteration order: the latter fixes SeededRandom draws
+        rng = random.Random(32)
+        for _ in range(12):
+            net = random_network(rng, max_nodes=24, max_layers=3)
+            for alpha in range(1, net.layer_count + 1):
+                work = net.copy()
+                table = clecc_table(work, alpha)
+                while len(table):
+                    pair = rng.choice(table.pairs())
+                    work.remove_pair_edges(*pair)
+                    update_after_removal(table, work, *pair)
+                    fresh = work._alpha_adjacency(alpha)
+                    assert [list(a) for a in table._mn] == [list(a) for a in fresh]
 
 
 class TestLexSelection:
@@ -392,22 +367,36 @@ class TestLexSelection:
         assert returned
 
     def test_keys_leave_and_return(self):
-        table = clecc_table(layered_path("abcdefg", layers=1), 1)
-        value = table._peek_min()
-        bucket = sorted(table._buckets[value])
-        assert len(bucket) >= 2
-        first, second = bucket[:2]
-        assert table._select_min_lex() == first
-        table._delete(first)
-        assert table._select_min_lex() == second
-        table._insert(first, value)
-        assert table._select_min_lex() == first
+        # a path p-q-r, whose two entries are 0, and two triangles, whose
+        # entries are 1 until one of their edges goes
+        net = MultiLayerNetwork()
+        for a, b in ["pq", "qr", "ab", "bc", "ac", "de", "ef", "df"]:
+            reciprocal(net, a, b, "l1")
+        table = clecc_table(net, 1)
+        key = {p: table._key_from_labels(tuple(p)) for p in ["pq", "qr", "ac", "bc", "df", "ef"]}
+        assert table._select_min_lex() == key["pq"]
+        table._delete(key["pq"])
+        assert table._select_min_lex() == key["qr"]
+        # a-c and b-c enter the bucket of 0 and its heap
+        net.remove_pair_edges("a", "b")
+        update_after_removal(table, net, "a", "b")
+        assert table._select_min_lex() == key["ac"]
         # empty the bucket: its heap goes with it, and a new one is built
-        for key in bucket:
-            table._delete(key)
-        assert value not in table._lex_heaps
-        table._insert(second, value)
-        assert table._select_min_lex() == second
+        for p in ["qr", "ac", "bc"]:
+            table._delete(key[p])
+        assert 0.0 not in table._buckets and 0.0 not in table._lex_heaps
+        net.remove_pair_edges("d", "e")
+        update_after_removal(table, net, "d", "e")
+        assert table._select_min_lex() == key["df"]
+        assert sorted(table._lex_heaps[0.0]) == sorted([key["df"], key["ef"]])
+
+    def test_index_built_on_first_selection(self):
+        table = clecc_table(barbell(), 1)
+        assert len(table) == 7 and ("c", "d") in table and table.pairs()
+        assert table.as_dict()[("c", "d")] == table.value("c", "d") == 0
+        assert table._buckets is None
+        assert table._select_min_lex() == table._key_from_labels(("c", "d"))
+        assert set(table._buckets) == {0.0, 0.5, 1.0}
 
 
 class TestExactness:
