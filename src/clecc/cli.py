@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, TextIO
 
 from . import __version__
 from .detection import (
@@ -24,7 +25,12 @@ from .detection import (
     parse_validity,
     run_detection,
 )
-from .errors import CleccError, InvalidParamsError, OracleMismatchError
+from .errors import (
+    CleccError,
+    DomainMismatchError,
+    InvalidParamsError,
+    OracleMismatchError,
+)
 from .evaluation import nmi
 from .formats import (
     parse_edge_list,
@@ -132,7 +138,7 @@ def _read_network(args):
     return parsed.network
 
 
-def _cmd_detect(args) -> str:
+def _cmd_detect(args) -> Callable[[TextIO], None]:
     if args.ties == "random":
         if args.seed is None:
             raise UsageError("--ties random requires an explicit --seed")
@@ -155,15 +161,19 @@ def _cmd_detect(args) -> str:
     )
     net = _read_network(args)
     result = run_detection(net, config)
-    text = write_result(result, pretty=True)
     if args.oracle:
         reference = write_result(naive_detect(net, config), pretty=True)
-        if reference != text:
+        if reference != write_result(result, pretty=True):
             raise OracleMismatchError(
                 "optimized detection and brute-force reference disagree"
             )
         print("oracle check passed", file=sys.stderr)
-    return text + "\n"
+
+    def write(handle: TextIO) -> None:
+        write_result(result, pretty=True, file=handle)
+        handle.write("\n")
+
+    return write
 
 
 def _parse_pair(text: str) -> tuple[str, str]:
@@ -234,9 +244,23 @@ def _cmd_eval_nmi(args) -> str:
     predicted = partition_from_json(Path(args.predicted).read_text(encoding="utf-8"))
     try:
         score = nmi(truth, predicted)
+    except DomainMismatchError as exc:
+        flag = "--truth" if exc.side == "first" else "--predicted"
+        raise CleccError(
+            f"--truth and --predicted cover different node sets: node {exc.node!r} "
+            f"is only in {flag} ({exc.sizes[0]} vs {exc.sizes[1]} nodes)"
+        ) from None
     except ValueError as exc:
         raise CleccError(str(exc)) from None
     return f"{score}\n"
+
+
+def _emit(body: str | Callable[[TextIO], None], handle: TextIO) -> None:
+    """Write a handler's result: its text, or what its writer streams."""
+    if isinstance(body, str):
+        handle.write(body)
+    else:
+        body(handle)
 
 
 def cli_main(argv: list[str]) -> int:
@@ -248,12 +272,13 @@ def cli_main(argv: list[str]) -> int:
             print("usage error: missing command", file=sys.stderr)
             print(parser.format_usage(), end="", file=sys.stderr)
             return 1
-        text = args.handler(args)
+        body = args.handler(args)
         output = getattr(args, "output", None)
         if output:
-            Path(output).write_text(text, encoding="utf-8")
+            with open(output, "w", encoding="utf-8") as handle:
+                _emit(body, handle)
         else:
-            sys.stdout.write(text)
+            _emit(body, sys.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -70,7 +70,23 @@ class MalformedPartitionError(CleccError, ValueError):
 
 
 class DomainMismatchError(CleccError):
-    """Two partitions do not cover the same node set."""
+    """Two partitions do not cover the same node set.
+
+    ``node`` is the smallest node that only one side has, ``side`` is
+    that side ("first" or "second") and ``sizes`` the two node counts.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        node: str | None = None,
+        side: str | None = None,
+        sizes: tuple[int, int] | None = None,
+    ):
+        super().__init__(message)
+        self.node = node
+        self.side = side
+        self.sizes = sizes
 
 
 class OracleMismatchError(CleccError):

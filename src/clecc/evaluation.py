@@ -46,9 +46,13 @@ def nmi(a: Iterable[Collection[str]], b: Iterable[Collection[str]]) -> float:
             side, node = "first", min(only_a, key=str)
         else:
             side, node = "second", min(map_b.keys() - map_a.keys(), key=str)
+        sizes = (len(map_a), len(map_b))
         raise DomainMismatchError(
             f"partitions cover different node sets: node {node!r} is only in "
-            f"the {side} partition ({len(map_a)} vs {len(map_b)} nodes)"
+            f"the {side} partition ({sizes[0]} vs {sizes[1]} nodes)",
+            node,
+            side,
+            sizes,
         )
     if set(blocks_a) == set(blocks_b):
         return 1.0

@@ -16,8 +16,10 @@ equal detection results always serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, TextIO
 
 from .detection import DetectionResult, SeededRandom, validity_tag
 from .errors import (
@@ -40,6 +42,8 @@ __all__ = [
 ]
 
 _HEADER_FIELDS = ("source", "target", "layer")
+# encoder chunks joined per write by write_result(..., file=...)
+_WRITE_BATCH = 4096
 
 
 def _check_delimiter(delimiter: str) -> None:
@@ -190,12 +194,27 @@ def result_to_dict(result: DetectionResult) -> dict:
     }
 
 
-def write_result(result: DetectionResult, pretty: bool = False) -> str:
-    """JSON text for a detection result; equal results give equal bytes."""
-    payload = result_to_dict(result)
+def write_result(
+    result: DetectionResult, pretty: bool = False, file: TextIO | None = None
+) -> str | None:
+    """JSON text for a detection result; equal results give equal bytes.
+
+    Returns the text, or with ``file`` writes it there and returns
+    ``None``.  The indented form is encoded in pure Python, one small
+    chunk per token; writing it in batches of chunks keeps memory flat
+    where the joined text of a long removal log would set the peak.
+    """
     if pretty:
-        return json.dumps(payload, indent=2)
-    return json.dumps(payload, separators=(",", ":"))
+        encoder = json.JSONEncoder(indent=2)
+    else:
+        encoder = json.JSONEncoder(separators=(",", ":"))
+    payload = result_to_dict(result)
+    if file is None:
+        return encoder.encode(payload)
+    chunks = encoder.iterencode(payload)
+    while batch := "".join(islice(chunks, _WRITE_BATCH)):
+        file.write(batch)
+    return None
 
 
 def partition_to_dict(partition: Iterable[Iterable[str]]) -> dict:
@@ -224,8 +243,8 @@ def partition_from_json(text: str) -> list[set[str]]:
     Accepts both a bare partition document and a full detection result
     (any extra keys are ignored); a group is an object with a ``nodes``
     list, or a bare list.  Every node label must be a JSON string; it is
-    never coerced.  Other shapes, and JSON nested too deeply to parse,
-    raise :class:`MalformedPartitionError`.
+    never coerced.  A group that lists a node twice, other shapes, and
+    JSON nested too deeply to parse raise :class:`MalformedPartitionError`.
     """
     try:
         payload = json.loads(text)
@@ -248,7 +267,11 @@ def partition_from_json(text: str) -> list[set[str]]:
             raise MalformedPartitionError(
                 f"group {position} has a node that is not a string"
             )
-        blocks.append(set(nodes))
+        block = set(nodes)
+        if len(block) < len(nodes):
+            twice = next(node for node, k in Counter(nodes).items() if k > 1)
+            raise MalformedPartitionError(f"group {position} lists node {twice!r} twice")
+        blocks.append(block)
     for position, singleton in enumerate(singletons):
         if not isinstance(singleton, str):
             raise MalformedPartitionError(f"singleton {position} is not a string")

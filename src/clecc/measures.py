@@ -47,6 +47,25 @@ endpoint stays in the union and leaves the intersection, so ``c``
 drops by one.  Otherwise it leaves the union and ``c`` stays.  So one
 intersection per removal, ``MN(i) & MN(j)``, serves every entry, and
 the table's own adjacency gives each old and new value.
+
+Lexicographic selection keeps lower bounds, not values.  Only the
+shared entries above lose a common neighbour, so only their values
+fall; every other touched entry keeps ``c`` over a denominator one
+smaller, so its value rises, or stays 0.  The lex heap holds
+``(bound, key)`` items under one invariant: every live key has an item
+whose bound is at most its current value.  The repair keeps it by
+pushing each shared entry's new value; a stale item of any other
+entry is still a bound.  Selection looks at the top, drops it if its
+key has left the table, and otherwise recomputes the key's value from
+its count and the two current sizes.  A top below that value is
+pushed back at it.  A top equal to it is the answer: for any other
+live key k, its lowest item (b, k) satisfies b <= value(k) and sits at
+or after the top in (bound, key) order, so the top's (value, key) is
+at most (value(k), k).  Keys over label ranks sort as their label
+pairs do, so that is the smallest value with the label-wise smallest
+pair among its ties.  This is the lazy-greedy rule for bounds that
+move one way (Minoux 1978; Leskovec et al. 2007, CELF).  Deleted keys
+leave their items behind until they surface; no key returns.
 """
 
 from __future__ import annotations
@@ -113,15 +132,15 @@ class CleccTable:
 
     The table owns the working alpha adjacency ``_mn`` and stores each
     pair's common-neighbour count, from which its value is derived.
-    From the first selection or repair on it also keeps a value-bucket
-    index and a lazy min-heap so the current minimum value, and the
-    full set of pairs attaining it, are available cheaply — that is
-    what the divisive detector loops over.  A pair is keyed by one int,
-    ``lo * n + hi`` with ``lo < hi`` the ranks of its nodes in label
-    order, so the smallest key in a bucket is its label-wise smallest
-    pair; lex selection finds it with a lazy min-heap of keys for each
-    bucket it has visited.  The node set is fixed when the table is
-    built; the public surface speaks labels.
+    Selection structures are built on first use, from the counts:
+    lex selection keeps a lazy heap of lower bounds (see the module
+    docstring); random selection, ``min_value`` and the public repair
+    keep a value-bucket index, so the current minimum value and the
+    full set of pairs attaining it, in insertion order, are available
+    cheaply.  A pair is keyed by one int, ``lo * n + hi`` with
+    ``lo < hi`` the ranks of its nodes in label order, so keys sort as
+    label pairs do.  The node set is fixed when the table is built; the
+    public surface speaks labels.
     """
 
     def __init__(
@@ -137,12 +156,14 @@ class CleccTable:
         self._rank = sorted(range(n), key=self._by_rank.__getitem__)  # inverse
         self._mn = mn
         self._counts: dict[int, int] = {}
-        # value -> its keys in the order they entered; built on first use
+        # value -> its keys in the order they entered, and a min-heap of
+        # the values; built on first random selection, min_value or
+        # public repair
         self._buckets: dict[float, dict[int, None]] | None = None
         self._heap: list[float] = []
-        # value -> lazy min-heap holding every key of that bucket (and
-        # possibly keys that left it), built on first lex selection
-        self._lex_heaps: dict[float, list[int]] = {}
+        # lazy min-heap of (lower bound on value, key); built on first
+        # lex selection
+        self._bounds: list[tuple[float, int]] | None = None
 
     # -- public, label-based ------------------------------------------
 
@@ -216,14 +237,15 @@ class CleccTable:
         return self._buckets
 
     def _delete(self, key: int) -> None:
-        buckets = self._index()
-        value = self._value(key)
+        """Drop a key; its bounds leave the lex heap when they surface."""
+        buckets = self._buckets
+        if buckets is not None:
+            value = self._value(key)
+            bucket = buckets[value]
+            del bucket[key]
+            if not bucket:
+                del buckets[value]
         del self._counts[key]
-        bucket = buckets[value]
-        del bucket[key]
-        if not bucket:
-            del buckets[value]
-            self._lex_heaps.pop(value, None)
 
     def _peek_min(self) -> float:
         buckets = self._index()
@@ -235,17 +257,27 @@ class CleccTable:
         return heap[0]
 
     def _select_min_lex(self) -> int:
-        """Smallest key of the minimum bucket, from that bucket's lazy heap."""
-        value = self._peek_min()
-        bucket = self._buckets[value]
-        heap = self._lex_heaps.get(value)
+        """Key of the smallest (value, key), from the lazy lower-bound heap.
+
+        A top whose key has left the table is dropped; a top below its
+        key's current value is raised to it.  The first top that is
+        exact is the answer (see the module docstring).
+        """
+        heap = self._bounds
         if heap is None:
-            heap = list(bucket)
+            heap = self._bounds = [(self._value(key), key) for key in self._counts]
             heapq.heapify(heap)
-            self._lex_heaps[value] = heap
-        while heap[0] not in bucket:
-            heapq.heappop(heap)
-        return heap[0]
+        counts = self._counts
+        while heap:
+            bound, key = heap[0]
+            if key not in counts:
+                heapq.heappop(heap)
+                continue
+            value = self._value(key)
+            if value == bound:
+                return key
+            heapq.heapreplace(heap, (value, key))
+        raise EmptyTableError("the table has no entries")
 
     def _select_min_random(self, rng: random.Random) -> int:
         value = self._peek_min()  # builds _buckets before it is read
@@ -340,6 +372,9 @@ def update_after_removal(
             f"pair ({x!r}, {y!r}) has no table entry; the table does not "
             "match the network this removal was applied to"
         )
+    # with the buckets built, the repair also rebuilds both endpoint
+    # sets in a fresh query's order, so the adjacency matches the network
+    table._index()
     _repair(table, net._links, (i, j) if i < j else (j, i))
     return table
 
@@ -347,39 +382,50 @@ def update_after_removal(
 def _repair(table: CleccTable, links: list[dict[int, int]], pair: tuple[int, int]) -> None:
     """Drop index-sorted ``pair`` from the table and its adjacency, fix the rest.
 
-    The entry goes while both sizes predate the removal.  Each endpoint
-    set is then rebuilt in its ``links`` key order, as a fresh query
-    would build it (a plain ``discard`` leaves another iteration order),
-    and its entries are rewritten in that order, endpoint by endpoint:
-    this fixes the order in which pairs enter each value bucket, and so
-    every SeededRandom draw.  Old values come from the stored counts.
+    The entry goes while both sizes predate the removal.  Each shared
+    entry loses one common neighbour; its lower value is pushed onto the
+    lex heap when there is one.  Every other touched entry only rises,
+    so its bound stays valid.  With value buckets (random selection and
+    the public path) each endpoint set is also rebuilt in its ``links``
+    key order, as a fresh query would build it (a plain ``discard``
+    leaves another iteration order), and its entries are rewritten in
+    that order, endpoint by endpoint: this fixes the order in which
+    pairs enter each value bucket, and so every SeededRandom draw.
     """
     i, j = pair
     table._delete(table._key(i, j))
     mn = table._mn
     mn[i].discard(j)
     mn[j].discard(i)
-    for e in pair:
-        mn_e = mn[e]
-        mn[e] = {z for z in links[e] if z in mn_e}
-    counts, buckets, heap = table._counts, table._buckets, table._heap
-    lex_heaps, rank, n = table._lex_heaps, table._rank, table._n
+    counts, bounds, rank, n = table._counts, table._bounds, table._rank, table._n
     heappush = heapq.heappush
     shared = mn[i] & mn[j]
     for e in pair:
+        size_e, rank_e = len(mn[e]), rank[e]
+        for z in shared:
+            rank_z = rank[z]
+            key = rank_e * n + rank_z if rank_e < rank_z else rank_z * n + rank_e
+            c = counts[key] = counts[key] - 1
+            if bounds is not None:
+                heappush(bounds, (_candidate_value(c, size_e, len(mn[z])), key))
+    buckets, heap = table._buckets, table._heap
+    if buckets is None:
+        return
+    for e in pair:
         mn_e = mn[e]
+        mn_e = mn[e] = {z for z in links[e] if z in mn_e}
         size_e = len(mn_e) - 1  # |MN(e)| - 2 before the removal
         rank_e = rank[e]
         for z in mn_e:
             rank_z = rank[z]
             key = rank_e * n + rank_z if rank_e < rank_z else rank_z * n + rank_e
-            c = counts[key]
-            # old denominator; the union held the other endpoint, so den >= 1
+            # old count and denominator; the union held the other
+            # endpoint, so den >= 1
+            c = counts[key] + (z in shared)
             den = size_e + len(mn[z]) - c
-            if z in shared:  # the other endpoint leaves the intersection
-                counts[key] = c - 1
+            if z in shared:  # the other endpoint left the intersection
                 old, value = c / den, (c - 1) / den
-            elif c:  # it leaves the union; the c shared nodes stay
+            elif c:  # it left the union; the c shared nodes stay
                 old, value = c / den, c / (den - 1)
             elif den == 1:  # e and z are left with only each other
                 old, value = 0.0, 1.0
@@ -389,13 +435,9 @@ def _repair(table: CleccTable, links: list[dict[int, int]], pair: tuple[int, int
             del bucket[key]
             if not bucket:
                 del buckets[old]
-                lex_heaps.pop(old, None)
             bucket = buckets.get(value)
             if bucket is None:
                 buckets[value] = {key: None}
                 heappush(heap, value)
             else:
                 bucket[key] = None
-                lex_heap = lex_heaps.get(value)
-                if lex_heap is not None:
-                    heappush(lex_heap, key)

@@ -4,7 +4,17 @@ import json
 
 import pytest
 
-from clecc import cli, parse_edge_list, write_edge_list
+from clecc import (
+    DetectionConfig,
+    MinSize,
+    PlantedParams,
+    cli,
+    generate_planted,
+    parse_edge_list,
+    run_detection,
+    write_edge_list,
+    write_result,
+)
 from clecc.cli import cli_main
 from conftest import toy2
 
@@ -142,6 +152,32 @@ def test_detect_oracle_flag(barbell_csv, capsys):
     out = capsys.readouterr()
     assert code == 0
     assert "oracle check passed" in out.err
+
+
+def test_detect_stdout_output_and_oracle_bytes_agree(tmp_path, capsys):
+    # no side ever qualifies, so every pair is logged: a removal log long
+    # enough to be written in several batches
+    planted = generate_planted(
+        PlantedParams(sizes=(20, 20), layers=2, p_in=0.3, p_out=0.02, seed=3)
+    )
+    path = tmp_path / "planted.csv"
+    path.write_text(write_edge_list(planted.network))
+    argv = [
+        "detect", "--input", str(path), "--alpha", "1",
+        "--validity", "min-size:1000", "--log-removals",
+    ]
+    config = DetectionConfig(alpha=1, validity=MinSize(1000), log_removals=True)
+    net = parse_edge_list(path.read_text()).network
+    expected = write_result(run_detection(net, config), pretty=True) + "\n"
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == expected
+    dest = tmp_path / "result.json"
+    assert cli_main(argv + ["--output", str(dest)]) == 0
+    assert capsys.readouterr().out == ""
+    assert dest.read_bytes() == expected.encode()
+    assert cli_main(argv + ["--oracle"]) == 0
+    out = capsys.readouterr()
+    assert out.out == expected and "oracle check passed" in out.err
 
 
 def test_detect_missing_input_file(tmp_path, capsys):
@@ -302,7 +338,14 @@ def test_eval_nmi_domain_mismatch(tmp_path, capsys):
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""
-    assert "node 'b' is only in the first partition" in out.err
+    assert out.err == (
+        "error: --truth and --predicted cover different node sets: "
+        "node 'b' is only in --truth (2 vs 2 nodes)\n"
+    )
+    predicted.write_text(json.dumps({"groups": [], "singletons": ["a", "b", "c"]}))
+    code = cli_main(["eval", "nmi", "--truth", str(truth), "--predicted", str(predicted)])
+    assert code == 2
+    assert "node 'c' is only in --predicted (2 vs 3 nodes)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -317,6 +360,7 @@ def test_eval_nmi_domain_mismatch(tmp_path, capsys):
         ('{"groups": [{"nodes": [{"x": 1}]}]}', "group 0 has a node that is not a string"),
         ('{"singletons": ["a", ["c"]]}', "singleton 1 is not a string"),
         ('{"singletons": [1]}', "singleton 0 is not a string"),
+        ('{"groups": [["a", "a", "b"]], "singletons": ["c"]}', "group 0 lists node 'a' twice"),
     ],
     ids=[
         "group-without-nodes",
@@ -328,6 +372,7 @@ def test_eval_nmi_domain_mismatch(tmp_path, capsys):
         "object-node",
         "list-singleton",
         "number-singleton",
+        "node-twice-in-a-group",
     ],
 )
 def test_eval_nmi_malformed_partition(tmp_path, capsys, text, complaint):

@@ -24,6 +24,7 @@ from clecc import (
     validate_group,
     write_result,
 )
+from clecc import detection
 from conftest import barbell, random_network, shuffled_labels, triangle
 
 
@@ -259,3 +260,26 @@ class TestPublicReplay:
             assert work.remove_pair_edges(*pair) == rec.edges_removed
             update_after_removal(table, work, *pair)
         assert table.as_dict() == clecc_table(work, alpha).as_dict()
+
+
+class TestSelectionStructures:
+    def test_lex_run_builds_no_value_buckets(self, monkeypatch):
+        # lex detection keeps only its lower-bound heap; the buckets (and
+        # the endpoint rebuild that orders them) serve random ties alone
+        tables = []
+
+        def recording_table(net, alpha):
+            tables.append(clecc_table(net, alpha))
+            return tables[-1]
+
+        monkeypatch.setattr(detection, "clecc_table", recording_table)
+        net = generate_planted(
+            PlantedParams(sizes=(12,) * 4, layers=2, p_in=0.4, p_out=0.03, seed=9)
+        ).network
+        for policy in (Lexicographic(), SeededRandom(1)):
+            result = run_detection(net, DetectionConfig(alpha=1, tie_policy=policy))
+            assert result.removals and result.groups
+        lex, seeded = tables
+        assert len(lex) == len(seeded) == 0
+        assert lex._buckets is None and lex._bounds is not None
+        assert seeded._buckets == {} and seeded._bounds is None

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,8 +13,10 @@ from clecc import (
     DuplicateEdgeError,
     MalformedLineError,
     MinSize,
+    PlantedParams,
     SelfLoopError,
     demo_network,
+    generate_planted,
     parse_edge_list,
     partition_from_json,
     partition_to_dict,
@@ -260,6 +263,21 @@ class TestWriteResult:
         first = write_result(run_detection(barbell(), config), pretty=True)
         second = write_result(run_detection(barbell(), config), pretty=True)
         assert first.encode() == second.encode()
+
+    def test_streamed_batches_equal_the_text(self):
+        # no side ever qualifies, so every pair is logged: a removal log
+        # long enough to take several batches of encoder chunks
+        planted = generate_planted(
+            PlantedParams(sizes=(20, 20), layers=2, p_in=0.3, p_out=0.02, seed=3)
+        )
+        config = DetectionConfig(alpha=1, validity=MinSize(1000))
+        result = run_detection(planted.network, config)
+        for pretty in (True, False):
+            writes = []
+            handle = SimpleNamespace(write=writes.append)
+            assert write_result(result, pretty=pretty, file=handle) is None
+            assert "".join(writes) == write_result(result, pretty=pretty)
+            assert len(writes) > 1
 
     def test_key_order_fixed(self):
         result = run_detection(barbell(), DetectionConfig(alpha=1))

@@ -1,7 +1,9 @@
 """Measure values on the closed-form fixtures, table maintenance."""
 
+import heapq
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,17 +12,22 @@ from clecc import (
     DetectionConfig,
     EmptyTableError,
     InconsistentTableError,
+    Lexicographic,
+    MinSize,
     MultiLayerNetwork,
     NotAdjacentError,
     SeededRandom,
     TooManyNodesError,
     UnknownNodeError,
+    WeakCommunity,
     clecc,
     clecc_table,
     ecc,
     run_detection,
+    select_min_pair,
     update_after_removal,
 )
+from clecc import measures
 from clecc.measures import _bitmasks, _check_float_exact
 from clecc.reference import naive_clecc
 from conftest import (
@@ -339,12 +346,56 @@ class TestUpdateAfterRemoval:
                     assert [list(a) for a in table._mn] == [list(a) for a in fresh]
 
 
-class TestLexSelection:
-    """Lex selection from a lazy heap per bucket equals ``min(bucket)``."""
+def assert_lower_bounds(table):
+    """Every live key has a lex-heap entry at or below its current value."""
+    lowest = {}
+    for bound, key in table._bounds:
+        lowest[key] = min(bound, lowest.get(key, bound))
+    assert all(lowest[key] <= table._value(key) for key in table._counts)
 
-    def test_random_removals(self):
+
+def fresh_lex_min(net, alpha, frozen=frozenset()):
+    """Smallest (Fraction value, label pair) over a fresh table, frozen nodes left out."""
+    table = clecc_table(net, alpha)
+    return min((table.value(*p), p) for p in table.pairs() if p[0] not in frozen)
+
+
+def is_component(net, alpha, group):
+    """Is ``group`` a whole connected component of the alpha-flattened graph?"""
+    seen = {min(group)}
+    stack = list(seen)
+    while stack:
+        for v in net.multilayer_neighborhood(stack.pop(), alpha):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen == group
+
+
+@pytest.fixture
+def refreshes(monkeypatch):
+    """Items lex selection re-pushes: stale tops raised to their value."""
+    raised = []
+
+    def heapreplace(heap, item):
+        raised.append(item)
+        return heapq.heapreplace(heap, item)
+
+    counting = SimpleNamespace(
+        heappush=heapq.heappush,
+        heappop=heapq.heappop,
+        heapify=heapq.heapify,
+        heapreplace=heapreplace,
+    )
+    monkeypatch.setattr(measures, "heapq", counting)
+    return raised
+
+
+class TestLexSelection:
+    """Lex selection from the lazy lower-bound heap picks the smallest (value, pair)."""
+
+    def test_random_removals(self, refreshes):
         rng = random.Random(17)
-        returned = 0
         for _ in range(30):
             net = random_network(rng, max_nodes=24, max_layers=3)
             for alpha in range(1, net.layer_count + 1):
@@ -352,19 +403,54 @@ class TestLexSelection:
                 table = clecc_table(work, alpha)
                 while len(table):
                     key = table._select_min_lex()
-                    assert key == min(table._buckets[table._peek_min()])
-                    # a key pushed again before its stale copy left the heap
-                    returned += any(
-                        len(h) != len(set(h)) for h in table._lex_heaps.values()
-                    )
+                    # keys over label ranks sort as their label pairs
+                    assert key == min(table._counts, key=lambda k: (table._value(k), k))
                     if rng.random() < 0.5:
                         pair = table._labels(key)
                     else:
                         pair = rng.choice(table.pairs())
                     work.remove_pair_edges(*pair)
                     update_after_removal(table, work, *pair)
-                assert not table._lex_heaps
-        assert returned
+                    assert_lower_bounds(table)
+                with pytest.raises(EmptyTableError):
+                    table._select_min_lex()
+                assert table._bounds == []
+        assert refreshes
+
+    @pytest.mark.parametrize(
+        "validity", [WeakCommunity(), MinSize(3)], ids=["weak", "min-size-3"]
+    )
+    def test_picks_are_fresh_minima(self, refreshes, validity):
+        # every step of a detection run and of a public select/repair
+        # run removes the smallest (value, pair) of a fresh table
+        rng = random.Random(19)
+        in_detection = 0
+        for _ in range(25):
+            net = random_network(rng, max_nodes=20, max_layers=3)
+            for alpha in range(1, net.layer_count + 1):
+                before = len(refreshes)
+                result = run_detection(net, DetectionConfig(alpha=alpha, validity=validity))
+                in_detection += len(refreshes) - before
+                work, frozen = net.copy(), set()
+                groups = [set(g) for g in result.groups]
+                for rec in result.removals:
+                    value, pair = fresh_lex_min(work, alpha, frozen)
+                    assert (rec.pair, rec.clecc) == (pair, float(value))
+                    work.remove_pair_edges(*pair)
+                    # a group froze when the removal made it a component
+                    for group in groups:
+                        if not group <= frozen and is_component(work, alpha, group):
+                            frozen |= group
+                assert frozen == set().union(*groups)
+
+                work = net.copy()
+                table = clecc_table(work, alpha)
+                while len(table):
+                    pair = select_min_pair(table, Lexicographic())
+                    assert (table.value(*pair), pair) == fresh_lex_min(work, alpha)
+                    work.remove_pair_edges(*pair)
+                    update_after_removal(table, work, *pair)
+        assert in_detection and len(refreshes) > in_detection
 
     def test_keys_leave_and_return(self):
         # a path p-q-r, whose two entries are 0, and two triangles, whose
@@ -373,29 +459,38 @@ class TestLexSelection:
         for a, b in ["pq", "qr", "ab", "bc", "ac", "de", "ef", "df"]:
             reciprocal(net, a, b, "l1")
         table = clecc_table(net, 1)
-        key = {p: table._key_from_labels(tuple(p)) for p in ["pq", "qr", "ac", "bc", "df", "ef"]}
+        key = {p: table._key_from_labels(tuple(p)) for p in ["pq", "ab", "ac", "bc", "de", "df"]}
         assert table._select_min_lex() == key["pq"]
-        table._delete(key["pq"])
-        assert table._select_min_lex() == key["qr"]
-        # a-c and b-c enter the bucket of 0 and its heap
+        # p-q is left an isolated dyad and rises to 1; its bound of 0 is
+        # stale until selection raises it
+        net.remove_pair_edges("q", "r")
+        update_after_removal(table, net, "q", "r")
+        assert table._select_min_lex() == key["ab"]
+        assert [b for b, k in table._bounds if k == key["pq"]] == [1.0]
+        # a-c and b-c fall to 0: new bounds beside their old ones of 1
         net.remove_pair_edges("a", "b")
         update_after_removal(table, net, "a", "b")
         assert table._select_min_lex() == key["ac"]
-        # empty the bucket: its heap goes with it, and a new one is built
-        for p in ["qr", "ac", "bc"]:
-            table._delete(key[p])
-        assert 0.0 not in table._buckets and 0.0 not in table._lex_heaps
+        assert sorted(b for b, k in table._bounds if k == key["ac"]) == [0.0, 1.0]
+        # deleted keys leave their bounds behind, dropped as they surface
+        table._delete(key["ac"])
+        table._delete(key["bc"])
+        assert table._select_min_lex() == key["de"]
+        assert table._bounds[0] == (1.0, key["de"])
         net.remove_pair_edges("d", "e")
         update_after_removal(table, net, "d", "e")
         assert table._select_min_lex() == key["df"]
-        assert sorted(table._lex_heaps[0.0]) == sorted([key["df"], key["ef"]])
 
     def test_index_built_on_first_selection(self):
         table = clecc_table(barbell(), 1)
         assert len(table) == 7 and ("c", "d") in table and table.pairs()
         assert table.as_dict()[("c", "d")] == table.value("c", "d") == 0
-        assert table._buckets is None
+        assert table._buckets is None and table._bounds is None
         assert table._select_min_lex() == table._key_from_labels(("c", "d"))
+        # lex selection builds its heap only; min_value builds the buckets
+        assert table._buckets is None
+        assert sorted(table._bounds) == sorted((table._value(k), k) for k in table._counts)
+        assert table.min_value() == 0
         assert set(table._buckets) == {0.0, 0.5, 1.0}
 
 
