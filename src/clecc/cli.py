@@ -29,6 +29,7 @@ from .errors import (
     CleccError,
     DomainMismatchError,
     InvalidParamsError,
+    MalformedPartitionError,
     OracleMismatchError,
 )
 from .evaluation import nmi
@@ -239,9 +240,17 @@ def _cmd_generate_scenario(args) -> str:
     return write_edge_list(generate_density_scenario(args.seed))
 
 
+def _read_partition(path: str, flag: str) -> list[set[str]]:
+    """The partition in a JSON file; its errors name the flag that gave it."""
+    try:  # utf-8-sig: spreadsheet and editor exports may start with a BOM
+        return partition_from_json(Path(path).read_text(encoding="utf-8-sig"))
+    except MalformedPartitionError as exc:
+        raise CleccError(f"{flag}: {exc}") from None
+
+
 def _cmd_eval_nmi(args) -> str:
-    truth = partition_from_json(Path(args.truth).read_text(encoding="utf-8"))
-    predicted = partition_from_json(Path(args.predicted).read_text(encoding="utf-8"))
+    truth = _read_partition(args.truth, "--truth")
+    predicted = _read_partition(args.predicted, "--predicted")
     try:
         score = nmi(truth, predicted)
     except DomainMismatchError as exc:
@@ -250,8 +259,6 @@ def _cmd_eval_nmi(args) -> str:
             f"--truth and --predicted cover different node sets: node {exc.node!r} "
             f"is only in {flag} ({exc.sizes[0]} vs {exc.sizes[1]} nodes)"
         ) from None
-    except ValueError as exc:
-        raise CleccError(str(exc)) from None
     return f"{score}\n"
 
 

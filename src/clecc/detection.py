@@ -160,26 +160,28 @@ def parse_validity(tag: str) -> ValidityCondition:
 def _condition_holds(
     condition: ValidityCondition,
     members: set[int],
-    flat1: list[set[int]],
+    links: list[dict[int, int]],
 ) -> bool:
-    """Evaluate a condition for a member set against alpha=1 adjacency."""
+    """Evaluate a condition for a member set on the original network.
+
+    ``links`` is the network's ``_links``: the keys of ``links[v]`` are
+    v's alpha=1 neighbours.
+    """
     if isinstance(condition, MinSize):
         return len(members) >= condition.k
-    if isinstance(condition, WeakCommunity):
-        internal = 0
-        external = 0
-        for v in members:
-            inside = len(flat1[v] & members)
-            internal += inside
-            external += len(flat1[v]) - inside
-        return internal > external
-    if isinstance(condition, StrongCommunity):
-        for v in members:
-            inside = len(flat1[v] & members)
-            if inside <= len(flat1[v]) - inside:
-                return False
-        return len(members) > 0
-    raise TypeError(f"not a validity condition: {condition!r}")
+    strong = isinstance(condition, StrongCommunity)
+    if not strong and not isinstance(condition, WeakCommunity):
+        raise TypeError(f"not a validity condition: {condition!r}")
+    internal = 0
+    external = 0
+    for v in members:
+        nbrs = links[v]
+        inside = len(members.intersection(nbrs))
+        if strong and inside <= len(nbrs) - inside:
+            return False
+        internal += inside
+        external += len(nbrs) - inside
+    return len(members) > 0 if strong else internal > external
 
 
 def validate_group(
@@ -194,7 +196,7 @@ def validate_group(
     connects it in any direction.
     """
     idx = {net.node_index(label) for label in members}
-    return _condition_holds(condition, idx, net._alpha_adjacency(1))
+    return _condition_holds(condition, idx, net._links)
 
 
 def select_min_pair(
@@ -297,8 +299,7 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
 
     table = clecc_table(net, config.alpha)
     adj = table._mn
-    labels = net._node_labels
-    flat1: list[set[int]] | None = None  # built on first weak/strong check
+    labels, links = net._node_labels, net._links
 
     frozen = [False] * n
     groups_idx: list[list[int]] = []
@@ -313,14 +314,6 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
                     table._delete(table._key(v, w))
         groups_idx.append(sorted(members))
 
-    def qualifies(members: set[int]) -> bool:
-        nonlocal flat1
-        if isinstance(config.validity, MinSize):
-            return len(members) >= config.validity.k
-        if flat1 is None:
-            flat1 = net._alpha_adjacency(1)
-        return _condition_holds(config.validity, members, flat1)
-
     while len(table):
         step += 1
         key = _select_min_key(table, config.tie_policy, rng)
@@ -328,7 +321,7 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
         if config.log_removals:
             value, edges_removed = table._value(key), net._pair_edge_count(i, j)
             removals.append(RemovalRecord(step, table._labels(key), value, edges_removed))
-        _repair(table, net._links, (i, j))
+        _repair(table, links, (i, j))
 
         split = _split_components(adj, i, j)
         if split is None:
@@ -341,7 +334,7 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
             sides = (comp_j, comp_i)
         for comp in sides:
             # one-node sides are terminal singletons, never groups
-            if len(comp) > 1 and qualifies(comp):
+            if len(comp) > 1 and _condition_holds(config.validity, comp, links):
                 freeze(comp)
 
     # the table is empty: every unfrozen node is now isolated in the

@@ -4,7 +4,9 @@ The edge-list format is one directed layer edge per line,
 ``source<delim>target<delim>layer``, comma-delimited by default.  A
 first content line that spells exactly ``source,target,layer`` (with
 the active delimiter) is treated as a header and skipped; blank lines
-and lines starting with ``#`` are ignored.  Labels are opaque text and
+and lines starting with ``#`` are ignored, and one byte-order mark
+(U+FEFF) at the start of the first line is dropped, as spreadsheet
+"CSV UTF-8" exports write one.  Labels are opaque text and
 are never coerced to numbers, so ``01`` and ``1`` stay distinct nodes.
 There is no quoting: the delimiter and newlines cannot appear inside
 labels.
@@ -16,9 +18,8 @@ equal detection results always serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, TextIO
 
 from .detection import DetectionResult, SeededRandom, validity_tag
@@ -76,13 +77,14 @@ def parse_edge_list(
     raises :class:`InvalidParamsError`.
     """
     _check_delimiter(delimiter)
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = iter(source.splitlines() if isinstance(source, str) else source)
+    first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
     net = MultiLayerNetwork()
     records = 0
     had_header = False
     duplicates = 0
     expect_header = True
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(chain(first, lines), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -135,7 +137,8 @@ def write_edge_list(
     or contain the delimiter or a line break, and source labels
     starting with ``#``, cannot round-trip and are rejected, as is an
     empty ``delimiter``.  Without ``header``, a first row that spells
-    the header would be skipped on reading, so it is rejected too.
+    the header or starts with a byte-order mark would not round-trip,
+    so it is rejected too.
     """
     _check_delimiter(delimiter)
     for label in list(net.nodes()) + list(net.layers()):
@@ -155,9 +158,12 @@ def write_edge_list(
             raise ValueError(
                 f"source label {src!r} starts with '#' and would parse as a comment"
             )
-    if not header and rows and rows[0] == _HEADER_FIELDS:
+    if not header and rows and (
+        rows[0] == _HEADER_FIELDS or rows[0][0].startswith("\ufeff")
+    ):
         raise ValueError(
-            f"first row {rows[0]!r} would parse as a header; write with header=True"
+            f"first row {rows[0]!r} would not read back as written; "
+            "write with header=True"
         )
     lines = [delimiter.join(_HEADER_FIELDS)] if header else []
     lines.extend(delimiter.join(row) for row in rows)
@@ -243,8 +249,9 @@ def partition_from_json(text: str) -> list[set[str]]:
     Accepts both a bare partition document and a full detection result
     (any extra keys are ignored); a group is an object with a ``nodes``
     list, or a bare list.  Every node label must be a JSON string; it is
-    never coerced.  A group that lists a node twice, other shapes, and
-    JSON nested too deeply to parse raise :class:`MalformedPartitionError`.
+    never coerced.  An empty group, a node listed twice (in one block or
+    in two), other shapes, and JSON nested too deeply to parse raise
+    :class:`MalformedPartitionError`.
     """
     try:
         payload = json.loads(text)
@@ -259,6 +266,7 @@ def partition_from_json(text: str) -> list[set[str]]:
     if not isinstance(groups, list) or not isinstance(singletons, list):
         raise MalformedPartitionError('"groups" and "singletons" must be lists')
     blocks: list[set[str]] = []
+    block_of: dict[str, str] = {}  # node -> the block that lists it
     for position, group in enumerate(groups):
         nodes = group.get("nodes") if isinstance(group, dict) else group
         if not isinstance(nodes, list):
@@ -267,13 +275,26 @@ def partition_from_json(text: str) -> list[set[str]]:
             raise MalformedPartitionError(
                 f"group {position} has a node that is not a string"
             )
-        block = set(nodes)
-        if len(block) < len(nodes):
-            twice = next(node for node, k in Counter(nodes).items() if k > 1)
-            raise MalformedPartitionError(f"group {position} lists node {twice!r} twice")
-        blocks.append(block)
+        if not nodes:
+            raise MalformedPartitionError(f"group {position} is empty")
+        name = f"group {position}"
+        for node in nodes:
+            _claim(block_of, node, name)
+        blocks.append(set(nodes))
     for position, singleton in enumerate(singletons):
         if not isinstance(singleton, str):
             raise MalformedPartitionError(f"singleton {position} is not a string")
+        _claim(block_of, singleton, f"singleton {position}")
         blocks.append({singleton})
     return blocks
+
+
+def _claim(block_of: dict[str, str], node: str, block: str) -> None:
+    """Record that ``block`` lists ``node``, which no block has listed yet."""
+    first = block_of.get(node)
+    if first is None:
+        block_of[node] = block
+    elif first == block:
+        raise MalformedPartitionError(f"{block} lists node {node!r} twice")
+    else:
+        raise MalformedPartitionError(f"node {node!r} is in both {first} and {block}")

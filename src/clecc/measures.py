@@ -66,6 +66,10 @@ pairs do, so that is the smallest value with the label-wise smallest
 pair among its ties.  This is the lazy-greedy rule for bounds that
 move one way (Minoux 1978; Leskovec et al. 2007, CELF).  Deleted keys
 leave their items behind until they surface; no key returns.
+``min_value`` reads the same heap.  Random selection instead keeps
+value buckets, each value's keys in the order they took it; only the
+first random draw builds them, and each repair after it keeps them
+current (see ``_repair``).
 """
 
 from __future__ import annotations
@@ -133,14 +137,12 @@ class CleccTable:
     The table owns the working alpha adjacency ``_mn`` and stores each
     pair's common-neighbour count, from which its value is derived.
     Selection structures are built on first use, from the counts:
-    lex selection keeps a lazy heap of lower bounds (see the module
-    docstring); random selection, ``min_value`` and the public repair
-    keep a value-bucket index, so the current minimum value and the
-    full set of pairs attaining it, in insertion order, are available
-    cheaply.  A pair is keyed by one int, ``lo * n + hi`` with
-    ``lo < hi`` the ranks of its nodes in label order, so keys sort as
-    label pairs do.  The node set is fixed when the table is built; the
-    public surface speaks labels.
+    lex selection and ``min_value`` keep a lazy heap of lower bounds,
+    random selection a value-bucket index holding the pairs at each
+    value in insertion order (see the module docstring).  A pair is
+    keyed by one int, ``lo * n + hi`` with ``lo < hi`` the ranks of its
+    nodes in label order, so keys sort as label pairs do.  The node set
+    is fixed when the table is built; the public surface speaks labels.
     """
 
     def __init__(
@@ -157,12 +159,11 @@ class CleccTable:
         self._mn = mn
         self._counts: dict[int, int] = {}
         # value -> its keys in the order they entered, and a min-heap of
-        # the values; built on first random selection, min_value or
-        # public repair
+        # the values; built on first random selection
         self._buckets: dict[float, dict[int, None]] | None = None
         self._heap: list[float] = []
         # lazy min-heap of (lower bound on value, key); built on first
-        # lex selection
+        # lex selection or min_value
         self._bounds: list[tuple[float, int]] | None = None
 
     # -- public, label-based ------------------------------------------
@@ -192,7 +193,7 @@ class CleccTable:
 
     def min_value(self) -> Fraction:
         """Smallest value in the table; EmptyTableError when empty."""
-        return Fraction(self._peek_min()).limit_denominator(self._n)
+        return Fraction(self._value(self._select_min_lex())).limit_denominator(self._n)
 
     def as_dict(self) -> dict[tuple[str, str], float]:
         return dict(self.items())
@@ -227,15 +228,6 @@ class CleccTable:
             self._counts[key], len(mn[by_rank[lo]]), len(mn[by_rank[hi]])
         )
 
-    def _index(self) -> dict[float, dict[int, None]]:
-        """The value buckets, built from the counts in their order if absent."""
-        if self._buckets is None:
-            buckets = self._buckets = {}
-            for key in self._counts:
-                buckets.setdefault(self._value(key), {})[key] = None
-            self._heap = sorted(buckets)  # a sorted list is a min-heap
-        return self._buckets
-
     def _delete(self, key: int) -> None:
         """Drop a key; its bounds leave the lex heap when they surface."""
         buckets = self._buckets
@@ -246,15 +238,6 @@ class CleccTable:
             if not bucket:
                 del buckets[value]
         del self._counts[key]
-
-    def _peek_min(self) -> float:
-        buckets = self._index()
-        heap = self._heap
-        while heap and heap[0] not in buckets:
-            heapq.heappop(heap)
-        if not heap:
-            raise EmptyTableError("the table has no entries")
-        return heap[0]
 
     def _select_min_lex(self) -> int:
         """Key of the smallest (value, key), from the lazy lower-bound heap.
@@ -280,8 +263,21 @@ class CleccTable:
         raise EmptyTableError("the table has no entries")
 
     def _select_min_random(self, rng: random.Random) -> int:
-        value = self._peek_min()  # builds _buckets before it is read
-        bucket = self._buckets[value]
+        """Key drawn uniformly from the minimum's bucket.
+
+        The first call builds the buckets, from the counts in their order.
+        """
+        buckets, heap = self._buckets, self._heap
+        if buckets is None:
+            buckets = self._buckets = {}
+            for key in self._counts:
+                buckets.setdefault(self._value(key), {})[key] = None
+            heap = self._heap = sorted(buckets)  # a sorted list is a min-heap
+        while heap and heap[0] not in buckets:
+            heapq.heappop(heap)
+        if not heap:
+            raise EmptyTableError("the table has no entries")
+        bucket = buckets[heap[0]]
         pick = rng.randrange(len(bucket))
         return next(islice(iter(bucket), pick, None))
 
@@ -302,11 +298,11 @@ def ecc(net: MultiLayerNetwork, x: str, y: str) -> float | None:
         )
     i = net.node_index(x)
     j = net.node_index(y)
-    adj = net._alpha_adjacency(1)
-    if j not in adj[i]:
+    links_i, links_j = net._links[i], net._links[j]
+    if j not in links_i:
         raise NotAdjacentError(f"no edge between {x!r} and {y!r}")
-    triangles = len(adj[i] & adj[j])
-    possible = min(len(adj[i]) - 1, len(adj[j]) - 1)
+    triangles = len(links_i.keys() & links_j.keys())
+    possible = min(len(links_i) - 1, len(links_j) - 1)
     if possible == 0:
         return None
     return (triangles + 1) / possible
@@ -363,7 +359,9 @@ def update_after_removal(
     only the neighbourhoods of x and y.  The table must match the
     network as it was before this removal (its own adjacency and counts
     are what it repairs); then it ends up identical to a from-scratch
-    rebuild.  Mutates and returns ``table``.
+    rebuild.  The repair is the detector's own: it keeps up whichever
+    selection structures earlier selections built, and no others.
+    Mutates and returns ``table``.
     """
     i = net.node_index(x)
     j = net.node_index(y)
@@ -372,9 +370,6 @@ def update_after_removal(
             f"pair ({x!r}, {y!r}) has no table entry; the table does not "
             "match the network this removal was applied to"
         )
-    # with the buckets built, the repair also rebuilds both endpoint
-    # sets in a fresh query's order, so the adjacency matches the network
-    table._index()
     _repair(table, net._links, (i, j) if i < j else (j, i))
     return table
 
@@ -385,8 +380,8 @@ def _repair(table: CleccTable, links: list[dict[int, int]], pair: tuple[int, int
     The entry goes while both sizes predate the removal.  Each shared
     entry loses one common neighbour; its lower value is pushed onto the
     lex heap when there is one.  Every other touched entry only rises,
-    so its bound stays valid.  With value buckets (random selection and
-    the public path) each endpoint set is also rebuilt in its ``links``
+    so its bound stays valid.  Once a random draw has built the value
+    buckets, each endpoint set is also rebuilt in its ``links``
     key order, as a fresh query would build it (a plain ``discard``
     leaves another iteration order), and its entries are rewritten in
     that order, endpoint by endpoint: this fixes the order in which

@@ -361,6 +361,10 @@ def test_eval_nmi_domain_mismatch(tmp_path, capsys):
         ('{"singletons": ["a", ["c"]]}', "singleton 1 is not a string"),
         ('{"singletons": [1]}', "singleton 0 is not a string"),
         ('{"groups": [["a", "a", "b"]], "singletons": ["c"]}', "group 0 lists node 'a' twice"),
+        ('{"groups": [["a"], []]}', "group 1 is empty"),
+        ('{"groups": [["a", "b"], ["c", "b"]]}', "node 'b' is in both group 0 and group 1"),
+        ('{"groups": [["a", "b"]], "singletons": ["b"]}', "node 'b' is in both group 0 and singleton 0"),
+        ('{"singletons": ["a", "c", "a"]}', "node 'a' is in both singleton 0 and singleton 2"),
     ],
     ids=[
         "group-without-nodes",
@@ -373,6 +377,10 @@ def test_eval_nmi_domain_mismatch(tmp_path, capsys):
         "list-singleton",
         "number-singleton",
         "node-twice-in-a-group",
+        "empty-group",
+        "node-in-two-groups",
+        "node-in-a-group-and-a-singleton",
+        "node-in-two-singletons",
     ],
 )
 def test_eval_nmi_malformed_partition(tmp_path, capsys, text, complaint):
@@ -380,12 +388,47 @@ def test_eval_nmi_malformed_partition(tmp_path, capsys, text, complaint):
     bad = tmp_path / "bad.json"
     good.write_text(json.dumps({"groups": [], "singletons": ["a"]}))
     bad.write_text(text)
-    code = cli_main(["eval", "nmi", "--truth", str(good), "--predicted", str(bad)])
-    out = capsys.readouterr()
-    assert code == 2
-    assert out.out == ""
-    assert out.err.startswith("error: ") and complaint in out.err
-    assert out.err.count("\n") == 1
+    # the message names the flag that gave the bad file, on either side
+    for flag, argv in [
+        ("--predicted", ["--truth", str(good), "--predicted", str(bad)]),
+        ("--truth", ["--truth", str(bad), "--predicted", str(good)]),
+    ]:
+        code = cli_main(["eval", "nmi", *argv])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith(f"error: {flag}: ") and complaint in out.err
+        assert out.err.count("\n") == 1
+
+
+def test_byte_order_mark_is_not_part_of_the_input(tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start the file with U+FEFF; it must
+    # not turn the header into an edge, nor a JSON file into an error
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(BARBELL_CSV, encoding="utf-8")
+    marked.write_text("\ufeff" + BARBELL_CSV, encoding="utf-8")
+    outputs = {}
+    for path in (plain, marked):
+        for argv in [
+            ["detect", "--input", str(path), "--alpha", "1", "--log-removals"],
+            ["measure", "--input", str(path), "--alpha", "1"],
+        ]:
+            assert cli_main(argv) == 0
+            outputs.setdefault(argv[0], []).append(capsys.readouterr().out)
+    assert outputs["detect"][0] == outputs["detect"][1]
+    assert outputs["measure"][0] == outputs["measure"][1]
+    assert "\ufeff" not in outputs["measure"][1] and "target" not in outputs["measure"][1]
+
+    truth = json.dumps({"groups": [["a", "b", "c", "d"]], "singletons": ["e", "f"]})
+    truth_path, predicted_path = tmp_path / "truth.json", tmp_path / "predicted.json"
+    scores = []
+    for mark in ("", "\ufeff"):
+        truth_path.write_text(mark + truth, encoding="utf-8")
+        predicted_path.write_text(mark + outputs["detect"][0], encoding="utf-8")
+        argv = ["eval", "nmi", "--truth", str(truth_path), "--predicted", str(predicted_path)]
+        assert cli_main(argv) == 0
+        scores.append(capsys.readouterr().out)
+    assert scores[0] == scores[1] and 0 < float(scores[0]) < 1
 
 
 def test_detect_empty_delimiter(barbell_csv, capsys):

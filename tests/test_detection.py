@@ -25,6 +25,7 @@ from clecc import (
     write_result,
 )
 from clecc import detection
+from clecc.reference import _naive_valid
 from conftest import barbell, random_network, shuffled_labels, triangle
 
 
@@ -202,6 +203,31 @@ class TestValidateGroup:
         with pytest.raises(UnknownNodeError):
             validate_group(barbell(), {"a", "zz"}, MinSize(1))
 
+    def test_rejects_a_non_condition(self):
+        with pytest.raises(TypeError):
+            validate_group(barbell(), {"a", "b"}, "weak")
+
+    def test_agrees_with_the_reference_on_random_networks(self):
+        # validity reads the network's link maps, which removals edit in
+        # place; the reference rebuilds its adjacency from the edge list
+        rng = random.Random(23)
+        conditions = [WeakCommunity(), StrongCommunity(), MinSize(3)]
+        verdicts = set()
+        for _ in range(40):
+            net = random_network(rng, max_nodes=16, max_layers=3)
+            nodes = net.nodes()
+            for _ in range(6):
+                edges = list(net.edges())
+                for _ in range(10):
+                    members = frozenset(rng.sample(nodes, rng.randint(1, len(nodes))))
+                    for condition in conditions:
+                        verdict = validate_group(net, members, condition)
+                        assert verdict == _naive_valid(edges, members, condition)
+                        verdicts.add((type(condition), verdict))
+                if edges:
+                    net.remove_pair_edges(*rng.choice(edges)[:2])
+        assert len(verdicts) == 2 * len(conditions)
+
 
 class TestSelectMinPair:
     def test_unique_minimum_any_policy(self):
@@ -263,6 +289,41 @@ class TestPublicReplay:
 
 
 class TestSelectionStructures:
+    @pytest.mark.parametrize(
+        "validity",
+        [WeakCommunity(), StrongCommunity(), MinSize(3)],
+        ids=["weak", "strong", "min-size"],
+    )
+    def test_run_builds_one_alpha_adjacency(self, monkeypatch, validity):
+        # the table's working graph is the only one; validity reads the input
+        built = []
+        original = MultiLayerNetwork._alpha_adjacency
+
+        def counting(net, alpha):
+            built.append(alpha)
+            return original(net, alpha)
+
+        monkeypatch.setattr(MultiLayerNetwork, "_alpha_adjacency", counting)
+        net = generate_planted(
+            PlantedParams(sizes=(12,) * 4, layers=2, p_in=0.6, p_out=0.03, seed=9)
+        ).network
+        result = run_detection(net, DetectionConfig(alpha=2, validity=validity))
+        assert result.groups and built == [2]
+
+    def test_public_lex_run_builds_no_value_buckets(self):
+        # the public select/repair path is the detector's: lex selection
+        # and min_value read the lower-bound heap alone
+        net = generate_planted(
+            PlantedParams(sizes=(12,) * 4, layers=2, p_in=0.4, p_out=0.03, seed=9)
+        ).network
+        table = clecc_table(net, 1)
+        while len(table):
+            pair = select_min_pair(table, Lexicographic())
+            assert table.min_value() == table.value(*pair)
+            net.remove_pair_edges(*pair)
+            update_after_removal(table, net, *pair)
+        assert table._buckets is None and table._bounds is not None
+
     def test_lex_run_builds_no_value_buckets(self, monkeypatch):
         # lex detection keeps only its lower-bound heap; the buckets (and
         # the endpoint rebuild that orders them) serve random ties alone

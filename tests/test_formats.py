@@ -55,6 +55,16 @@ class TestParseEdgeList:
         assert parsed.had_header
         assert parsed.network.edge_count == 1
 
+    @pytest.mark.parametrize("text", ["source,target,layer\na,b,l1\n", "# c\na,b,l1\n"])
+    def test_byte_order_mark_dropped_from_the_first_line(self, text):
+        for source in ("\ufeff" + text, io.StringIO("\ufeff" + text)):
+            parsed = parse_edge_list(source)
+            assert list(parsed.network.edges()) == [("a", "b", "l1")]
+            assert parsed.had_header == text.startswith("source")
+        # only one mark, and only on the first line, is dropped
+        assert parse_edge_list("\ufeff\ufeffx,y,l1\n").network.nodes() == ["\ufeffx", "y"]
+        assert parse_edge_list("a,b,l1\n\ufeffb,a,l1\n").network.nodes() == ["a", "b", "\ufeffb"]
+
     def test_blank_lines_and_comments_ignored(self):
         parsed = parse_edge_list("# a comment\n\na,b,l1\n\n# more\nb,a,l1\n")
         assert parsed.network.edge_count == 2
@@ -203,6 +213,7 @@ class TestWriteEdgeList:
             (("a", "b", ""), True),
             (("a\u2028z", "b", "l1"), True),
             (("source", "target", "layer"), False),
+            (("\ufeffa", "b", "l1"), False),
         ]
         for edge, header in cases:
             net = MultiLayerNetwork()

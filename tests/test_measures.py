@@ -331,13 +331,17 @@ class TestUpdateAfterRemoval:
                     assert table.as_dict() == clecc_table(work, alpha).as_dict()
 
     def test_adjacency_matches_a_fresh_query(self):
-        # set contents and iteration order: the latter fixes SeededRandom draws
+        # set contents and iteration order: the latter fixes SeededRandom
+        # draws, so the repair rebuilds both endpoint sets once a random
+        # draw has built the value buckets
         rng = random.Random(32)
         for _ in range(12):
             net = random_network(rng, max_nodes=24, max_layers=3)
             for alpha in range(1, net.layer_count + 1):
                 work = net.copy()
                 table = clecc_table(work, alpha)
+                if len(table):
+                    table._select_min_random(random.Random(0))
                 while len(table):
                     pair = rng.choice(table.pairs())
                     work.remove_pair_edges(*pair)
@@ -487,10 +491,13 @@ class TestLexSelection:
         assert table.as_dict()[("c", "d")] == table.value("c", "d") == 0
         assert table._buckets is None and table._bounds is None
         assert table._select_min_lex() == table._key_from_labels(("c", "d"))
-        # lex selection builds its heap only; min_value builds the buckets
+        # lex selection and min_value build the heap only; a random
+        # draw builds the buckets
         assert table._buckets is None
         assert sorted(table._bounds) == sorted((table._value(k), k) for k in table._counts)
         assert table.min_value() == 0
+        assert table._buckets is None
+        assert table._select_min_random(random.Random(0)) == table._key_from_labels(("c", "d"))
         assert set(table._buckets) == {0.0, 0.5, 1.0}
 
 
