@@ -28,6 +28,7 @@ from .detection import (
 from .errors import (
     CleccError,
     DomainMismatchError,
+    EmptyNetworkError,
     InvalidParamsError,
     MalformedPartitionError,
     OracleMismatchError,
@@ -189,6 +190,10 @@ def _parse_pair(text: str) -> tuple[str, str]:
 def _cmd_measure(args) -> str:
     pair = None if args.pair is None else _parse_pair(args.pair)
     net = _read_network(args)
+    if not net.edge_count:
+        raise EmptyNetworkError(
+            f"{args.input} holds no edges, so there is nothing to measure"
+        )
     if pair is not None:
         x, y = pair
         value = clecc(net, x, y, args.alpha)

@@ -16,6 +16,12 @@ undirected graph whose edges are the node pairs connected on at least
    no further removals, one-node sides become singletons, and failing
    sides stay in play.
 
+A spanning forest of the working graph tells whether a removal split a
+component.  Removing a non-tree edge cannot; removing a tree edge cuts
+off the child's subtree, and only then are the subtree's edges searched
+for one that leads back out (see ``_SpanningForest``).  So a removal
+costs no search unless it takes a tree edge.
+
 The loop ends when every node sits in a frozen group or is a
 singleton.  Pairs below the alpha threshold never enter the working
 graph: they are not candidates and do not count for connectivity, so
@@ -227,58 +233,94 @@ def _select_min_key(
     raise TypeError(f"not a tie policy: {policy!r}")
 
 
-def _split_components(
-    adj: list[set[int]], a: int, b: int
-) -> tuple[set[int], set[int]] | None:
-    """Components of a and b after their direct edge was dropped.
+class _SpanningForest:
+    """Spanning forest of a graph that only loses edges; it decides splits.
 
-    Returns ``None`` while a and b are still connected.  A path of
-    length 2 or 3 is looked for first, through the neighbours of a;
-    most removals leave one.  Otherwise searches from both endpoints,
-    always growing the smaller frontier, so the cost is bounded by the
-    smaller side when they did separate.
+    Each node keeps its tree parent (-1 at a root), and each node with
+    children a list of them (most nodes are leaves).  Every tree spans
+    one connected component of ``adj``.
+    When an edge leaves ``adj``, ``split`` restores that: a non-tree
+    edge leaves every tree intact, so the graph is still connected.  A
+    tree edge cuts off the child's subtree.  If some edge joins a node
+    x of the subtree to a node y outside it, the subtree is re-rooted
+    at x and hung under y, and the component stays whole; otherwise the
+    subtree is a component of its own.  This is the replacement-edge
+    search of decremental connectivity (Even & Shiloach 1981; Holm, de
+    Lichtenberg & Thorup 2001), without their bound on the search.
     """
-    adj_b = adj[b]
-    for u in adj[a]:
-        if u in adj_b or not adj[u].isdisjoint(adj_b):
+
+    def __init__(self, adj: list[set[int]]):
+        n = len(adj)
+        parent = self._parent = [-1] * n
+        children: dict[int, list[int]] = {}
+        self._children = children
+        self._adj = adj
+        seen = [False] * n
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for v in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        parent[v] = u
+                        children.setdefault(u, []).append(v)
+                        stack.append(v)
+
+    def split(self, a: int, b: int) -> tuple[set[int], set[int]] | None:
+        """Components of a and b once their edge has left ``adj``.
+
+        Must be called for every edge that leaves ``adj``, right after
+        it goes.  Returns ``None`` while a and b are still connected,
+        else the pair (component of a, component of b).
+        """
+        parent, children, adj = self._parent, self._children, self._adj
+        if parent[a] == b:
+            child, top = a, b
+        elif parent[b] == a:
+            child, top = b, a
+        else:
             return None
-    seen_a, seen_b = {a}, {b}
-    frontier_a, frontier_b = [a], [b]
-    while frontier_a and frontier_b:
-        if len(frontier_a) <= len(frontier_b):
-            frontier, seen, other = frontier_a, seen_a, seen_b
-        else:
-            frontier, seen, other = frontier_b, seen_b, seen_a
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in seen:
-                    continue
-                if v in other:
+        children[top].remove(child)
+        parent[child] = -1
+        cut = self._tree(child)
+        for x in cut:
+            for y in adj[x]:
+                if y not in cut:
+                    self._reroot(x)
+                    parent[x] = y
+                    children.setdefault(y, []).append(x)
                     return None
-                seen.add(v)
-                nxt.append(v)
-        if frontier is frontier_a:
-            frontier_a = nxt
-        else:
-            frontier_b = nxt
-    if frontier_a:
-        seen_a = _full_component(adj, a)
-    elif frontier_b:
-        seen_b = _full_component(adj, b)
-    return seen_a, seen_b
+        while parent[top] != -1:
+            top = parent[top]
+        rest = self._tree(top)
+        return (cut, rest) if child == a else (rest, cut)
 
+    def _tree(self, root: int) -> set[int]:
+        """Nodes of the tree below ``root``, root included."""
+        children = self._children
+        nodes = {root}
+        stack = [root]
+        while stack:
+            kids = children.get(stack.pop(), ())
+            nodes.update(kids)
+            stack.extend(kids)
+        return nodes
 
-def _full_component(adj: list[set[int]], start: int) -> set[int]:
-    comp = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in comp:
-                comp.add(v)
-                stack.append(v)
-    return comp
+    def _reroot(self, x: int) -> None:
+        """Make x the root of its tree by reversing the path above it."""
+        parent, children = self._parent, self._children
+        below, u = -1, x
+        while u != -1:
+            up = parent[u]
+            parent[u] = below
+            if up != -1:
+                children[up].remove(u)
+                children.setdefault(u, []).append(up)
+            below, u = u, up
 
 
 def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionResult:
@@ -299,6 +341,7 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
 
     table = clecc_table(net, config.alpha)
     adj = table._mn
+    forest = _SpanningForest(adj)
     labels, links = net._node_labels, net._links
 
     frozen = [False] * n
@@ -321,9 +364,9 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
         if config.log_removals:
             value, edges_removed = table._value(key), net._pair_edge_count(i, j)
             removals.append(RemovalRecord(step, table._labels(key), value, edges_removed))
-        _repair(table, links, (i, j))
+        _repair(table, (i, j))
 
-        split = _split_components(adj, i, j)
+        split = forest.split(i, j)
         if split is None:
             continue
         comp_i, comp_j = split

@@ -66,10 +66,36 @@ pairs do, so that is the smallest value with the label-wise smallest
 pair among its ties.  This is the lazy-greedy rule for bounds that
 move one way (Minoux 1978; Leskovec et al. 2007, CELF).  Deleted keys
 leave their items behind until they surface; no key returns.
-``min_value`` reads the same heap.  Random selection instead keeps
-value buckets, each value's keys in the order they took it; only the
-first random draw builds them, and each repair after it keeps them
-current (see ``_repair``).
+``min_value`` reads the same heap.
+
+A ``SeededRandom`` draw picks by position among the keys at the
+minimum, listed in the order they took that value since the first
+random draw: first as the counts were built, then as repairs visited
+them, the smaller endpoint first and each endpoint's entries in the
+order a rebuilt ``MN(e)`` lists them (``_rebuilt``: a fresh query's
+order).  That order needs no index of keys by value:
+
+* A key at value 0 has c = 0 and stays at 0 when touched, unless it is
+  left as an isolated dyad (value 1).  ``_zeros`` lists these keys: the
+  first draw takes them in count order; a repair appends each shared
+  entry whose count reaches 0 and drops a new dyad; ``_delete`` drops a
+  key.
+* Every touch of a key with c > 0 changes its value: c / den becomes
+  (c - 1) / den for a shared entry, c / (den - 1) otherwise.  Counts
+  never rise, so such a key had c > 0 at every touch, and a dyad is
+  never touched again.  A positive key thus took its value at the last
+  repair of either of its nodes.  Each node records its last repair,
+  counted from the first draw, so a key's place is (that repair, the
+  node it repaired, the other node's place in that node's rebuilt
+  set).  The set has not changed since, so it is rebuilt only when a
+  draw needs it.  A key that no counted repair touched keeps its build
+  place: its smaller node, then the other's place in that node's
+  ``MN``, whose order discards keep.
+
+A draw at a positive minimum m reads the live keys at m off the lower
+bound heap (see ``_min_ties``), sorts them by place and picks by
+position, so it makes the same ``randrange`` call and returns the same
+key as the eager index did.
 """
 
 from __future__ import annotations
@@ -137,16 +163,23 @@ class CleccTable:
     The table owns the working alpha adjacency ``_mn`` and stores each
     pair's common-neighbour count, from which its value is derived.
     Selection structures are built on first use, from the counts:
-    lex selection and ``min_value`` keep a lazy heap of lower bounds,
-    random selection a value-bucket index holding the pairs at each
-    value in insertion order (see the module docstring).  A pair is
+    a lazy heap of lower bounds serves every selection at a positive
+    value and ``min_value``; random selection also keeps the value-0
+    pairs in order and each node's last repair (see the module
+    docstring).  It reads its network's link maps for the order of a
+    rebuilt neighbourhood.  A pair is
     keyed by one int, ``lo * n + hi`` with ``lo < hi`` the ranks of its
     nodes in label order, so keys sort as label pairs do.  The node set
     is fixed when the table is built; the public surface speaks labels.
     """
 
     def __init__(
-        self, alpha: int, index_of: dict[str, int], label_of: list[str], mn: list[set[int]]
+        self,
+        alpha: int,
+        index_of: dict[str, int],
+        label_of: list[str],
+        links: list[dict[int, int]],
+        mn: list[set[int]],
     ):
         n = len(label_of)
         _check_float_exact(n)
@@ -157,14 +190,17 @@ class CleccTable:
         self._by_rank = sorted(range(n), key=label_of.__getitem__)
         self._rank = sorted(range(n), key=self._by_rank.__getitem__)  # inverse
         self._mn = mn
+        self._links = links
         self._counts: dict[int, int] = {}
-        # value -> its keys in the order they entered, and a min-heap of
-        # the values; built on first random selection
-        self._buckets: dict[float, dict[int, None]] | None = None
-        self._heap: list[float] = []
         # lazy min-heap of (lower bound on value, key); built on first
-        # lex selection or min_value
+        # selection at a positive value or min_value
         self._bounds: list[tuple[float, int]] | None = None
+        # built on first random selection: the keys at value 0 in the
+        # order they took it, each node's last repair since then (0 if
+        # none), and the count of those repairs
+        self._zeros: dict[int, None] | None = None
+        self._touched: list[int] = []
+        self._repairs = 0
 
     # -- public, label-based ------------------------------------------
 
@@ -230,14 +266,14 @@ class CleccTable:
 
     def _delete(self, key: int) -> None:
         """Drop a key; its bounds leave the lex heap when they surface."""
-        buckets = self._buckets
-        if buckets is not None:
-            value = self._value(key)
-            bucket = buckets[value]
-            del bucket[key]
-            if not bucket:
-                del buckets[value]
+        if self._zeros is not None:
+            self._zeros.pop(key, None)
         del self._counts[key]
+
+    def _rebuilt(self, i: int) -> set[int]:
+        """``MN(i)`` built afresh from the link map, as a new query builds it."""
+        mn_i = self._mn[i]
+        return {z for z in self._links[i] if z in mn_i}
 
     def _select_min_lex(self) -> int:
         """Key of the smallest (value, key), from the lazy lower-bound heap.
@@ -263,23 +299,71 @@ class CleccTable:
         raise EmptyTableError("the table has no entries")
 
     def _select_min_random(self, rng: random.Random) -> int:
-        """Key drawn uniformly from the minimum's bucket.
+        """Key drawn uniformly from the minimum's keys, in the order they took it.
 
-        The first call builds the buckets, from the counts in their order.
+        The first call starts the random-tie bookkeeping (see the module
+        docstring).  At value 0 the keys are ``_zeros``; at a positive
+        minimum they are ordered by their last repair.
         """
-        buckets, heap = self._buckets, self._heap
-        if buckets is None:
-            buckets = self._buckets = {}
-            for key in self._counts:
-                buckets.setdefault(self._value(key), {})[key] = None
-            heap = self._heap = sorted(buckets)  # a sorted list is a min-heap
-        while heap and heap[0] not in buckets:
-            heapq.heappop(heap)
-        if not heap:
-            raise EmptyTableError("the table has no entries")
-        bucket = buckets[heap[0]]
-        pick = rng.randrange(len(bucket))
-        return next(islice(iter(bucket), pick, None))
+        zeros = self._zeros
+        if zeros is None:
+            value = self._value
+            zeros = self._zeros = {
+                key: None for key, c in self._counts.items() if not c and not value(key)
+            }
+            self._touched = [0] * self._n
+        if zeros:
+            return next(islice(zeros, rng.randrange(len(zeros)), None))
+        ties = self._min_ties()
+        pick = rng.randrange(len(ties))
+        # group the ties by (last repair, the endpoint it repaired): the
+        # pair is index-sorted, so its smaller node went first; keys
+        # untouched since the first draw sort first, by smaller node, as
+        # the counts were built
+        touched, by_rank, n = self._touched, self._by_rank, self._n
+        groups: dict[tuple[int, int], list[int]] = {}
+        for key in ties:
+            lo, hi = divmod(key, n)
+            a, b = by_rank[lo], by_rank[hi]
+            ta, tb = touched[a], touched[b]
+            if ta < tb or (ta == tb and b < a):
+                a, b, ta = b, a, tb
+            groups.setdefault((ta, a), []).append(b)
+        for (t, f), members in sorted(groups.items()):
+            if pick < len(members):
+                break
+            pick -= len(members)
+        if len(members) > 1:
+            # one repair visited these in its rebuilt MN(f); the build
+            # visited them in MN(f), whose order discards keep
+            order = self._rebuilt(f) if t else self._mn[f]
+            inside = set(members)
+            members = [z for z in order if z in inside]
+        return self._key(f, members[pick])
+
+    def _min_ties(self) -> list[int]:
+        """Live keys at the minimum value, from the lower-bound heap.
+
+        Once ``_select_min_lex`` leaves an exact top at value m, no item
+        is below m, so each live key at m has an item at exactly m.  All
+        items at m are popped, and each live key gets one item back at
+        its current value: the next draw finds only live keys at m.
+        """
+        self._select_min_lex()
+        heap, counts, value = self._bounds, self._counts, self._value
+        heappop, heappush = heapq.heappop, heapq.heappush
+        m = heap[0][0]
+        found: dict[int, float] = {}
+        while heap and heap[0][0] == m:
+            key = heappop(heap)[1]
+            if key in counts and key not in found:
+                found[key] = value(key)
+        ties = []
+        for key, v in found.items():
+            heappush(heap, (v, key))
+            if v == m:
+                ties.append(key)
+        return ties
 
 
 def ecc(net: MultiLayerNetwork, x: str, y: str) -> float | None:
@@ -334,7 +418,7 @@ def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
     """Evaluate the measure for every pair connected on >= alpha layers."""
     net._check_alpha(alpha)
     mn = net._alpha_adjacency(alpha)
-    table = CleccTable(alpha, net._node_index, net._node_labels, mn)
+    table = CleccTable(alpha, net._node_index, net._node_labels, net._links, mn)
     counts, key = table._counts, table._key
     bits = _bitmasks(mn)
     for i, a in enumerate(mn):
@@ -370,69 +454,55 @@ def update_after_removal(
             f"pair ({x!r}, {y!r}) has no table entry; the table does not "
             "match the network this removal was applied to"
         )
-    _repair(table, net._links, (i, j) if i < j else (j, i))
+    _repair(table, (i, j) if i < j else (j, i))
     return table
 
 
-def _repair(table: CleccTable, links: list[dict[int, int]], pair: tuple[int, int]) -> None:
+def _repair(table: CleccTable, pair: tuple[int, int]) -> None:
     """Drop index-sorted ``pair`` from the table and its adjacency, fix the rest.
 
     The entry goes while both sizes predate the removal.  Each shared
     entry loses one common neighbour; its lower value is pushed onto the
-    lex heap when there is one.  Every other touched entry only rises,
-    so its bound stays valid.  Once a random draw has built the value
-    buckets, each endpoint set is also rebuilt in its ``links``
-    key order, as a fresh query would build it (a plain ``discard``
-    leaves another iteration order), and its entries are rewritten in
-    that order, endpoint by endpoint: this fixes the order in which
-    pairs enter each value bucket, and so every SeededRandom draw.
+    lower-bound heap when there is one.  Every other touched entry only rises,
+    so its bound stays valid.  Once a random draw has started the
+    random-tie bookkeeping, the repair also stamps both endpoints, and
+    keeps ``_zeros``: a shared entry whose count reaches 0 is appended
+    in the order a rebuilt ``MN(e)`` lists it, endpoint by endpoint,
+    and an entry left as an isolated dyad (value 1) is dropped.
     """
     i, j = pair
     table._delete(table._key(i, j))
     mn = table._mn
     mn[i].discard(j)
     mn[j].discard(i)
-    counts, bounds, rank, n = table._counts, table._bounds, table._rank, table._n
+    counts, bounds, zeros, rank, n = (
+        table._counts, table._bounds, table._zeros, table._rank, table._n
+    )
     heappush = heapq.heappush
     shared = mn[i] & mn[j]
+    if zeros is not None:
+        table._repairs += 1
+        table._touched[i] = table._touched[j] = table._repairs
     for e in pair:
-        size_e, rank_e = len(mn[e]), rank[e]
+        mn_e, rank_e = mn[e], rank[e]
+        size_e = len(mn_e)
+        emptied = []
         for z in shared:
             rank_z = rank[z]
             key = rank_e * n + rank_z if rank_e < rank_z else rank_z * n + rank_e
             c = counts[key] = counts[key] - 1
             if bounds is not None:
                 heappush(bounds, (_candidate_value(c, size_e, len(mn[z])), key))
-    buckets, heap = table._buckets, table._heap
-    if buckets is None:
-        return
-    for e in pair:
-        mn_e = mn[e]
-        mn_e = mn[e] = {z for z in links[e] if z in mn_e}
-        size_e = len(mn_e) - 1  # |MN(e)| - 2 before the removal
-        rank_e = rank[e]
-        for z in mn_e:
-            rank_z = rank[z]
-            key = rank_e * n + rank_z if rank_e < rank_z else rank_z * n + rank_e
-            # old count and denominator; the union held the other
-            # endpoint, so den >= 1
-            c = counts[key] + (z in shared)
-            den = size_e + len(mn[z]) - c
-            if z in shared:  # the other endpoint left the intersection
-                old, value = c / den, (c - 1) / den
-            elif c:  # it left the union; the c shared nodes stay
-                old, value = c / den, c / (den - 1)
-            elif den == 1:  # e and z are left with only each other
-                old, value = 0.0, 1.0
-            else:
-                continue  # stays 0
-            bucket = buckets[old]
-            del bucket[key]
-            if not bucket:
-                del buckets[old]
-            bucket = buckets.get(value)
-            if bucket is None:
-                buckets[value] = {key: None}
-                heappush(heap, value)
-            else:
-                bucket[key] = None
+            if not c:
+                emptied.append(z)
+        if zeros is None:
+            continue
+        if len(emptied) > 1:
+            inside = set(emptied)
+            emptied = [z for z in table._rebuilt(e) if z in inside]
+        for z in emptied:
+            zeros[table._key(e, z)] = None
+        if size_e == 1:
+            (z,) = mn_e
+            if len(mn[z]) == 1:  # e and z are left with only each other
+                del zeros[table._key(e, z)]

@@ -461,6 +461,18 @@ def test_detect_empty_input(tmp_path, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("text", ["# only a comment\n", "\ufeff"], ids=["comments", "bom"])
+@pytest.mark.parametrize("pair", [[], ["--pair", "a,b"]], ids=["table", "pair"])
+def test_measure_edgeless_input(tmp_path, capsys, text, pair):
+    path = tmp_path / "edgeless.csv"
+    path.write_text(text, encoding="utf-8")
+    code = cli_main(["measure", "--input", str(path), "--alpha", "1", *pair])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: {path} holds no edges, so there is nothing to measure\n"
+
+
 def test_unknown_flag(capsys):
     assert cli_main(["detect", "--nope"]) == 1
 

@@ -322,11 +322,11 @@ class TestSelectionStructures:
             assert table.min_value() == table.value(*pair)
             net.remove_pair_edges(*pair)
             update_after_removal(table, net, *pair)
-        assert table._buckets is None and table._bounds is not None
+        assert table._zeros is None and table._bounds is not None
 
     def test_lex_run_builds_no_value_buckets(self, monkeypatch):
-        # lex detection keeps only its lower-bound heap; the buckets (and
-        # the endpoint rebuild that orders them) serve random ties alone
+        # lex detection keeps only its lower-bound heap; random ties also
+        # keep the value-0 keys in order and each node's last repair
         tables = []
 
         def recording_table(net, alpha):
@@ -342,5 +342,5 @@ class TestSelectionStructures:
             assert result.removals and result.groups
         lex, seeded = tables
         assert len(lex) == len(seeded) == 0
-        assert lex._buckets is None and lex._bounds is not None
-        assert seeded._buckets == {} and seeded._bounds is None
+        assert lex._zeros is None and lex._bounds is not None and not lex._repairs
+        assert seeded._zeros == {} and seeded._bounds is not None and seeded._repairs

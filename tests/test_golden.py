@@ -13,6 +13,12 @@ are half filled inside each block, so most removed pairs share many
 neighbours and the repair lowers the common-neighbour count of many
 entries, not only their neighbourhood sizes.
 
+The density cases run alpha 2 on the 1000-node density scenario
+(seed 7): about 3,000 removals under random ties, most of them at a
+positive minimum value, and hundreds of them cut a working component's
+spanning tree.  They pin the order of positive-value ties, where the
+dense cases mostly tie at 0.
+
 The shuffled cases run the same instance with its node labels permuted
 but its node indices kept, so label order and index order disagree:
 they pin how the detector maps between the two, both in the
@@ -36,6 +42,7 @@ from clecc import (
     PlantedParams,
     SeededRandom,
     WeakCommunity,
+    generate_density_scenario,
     generate_planted,
     run_detection,
     write_edge_list,
@@ -65,6 +72,12 @@ GOLDEN_DENSE = {
     Lexicographic(): "168a399023fa87b4de55e84ab51eefcb424c7816790eb82564cf3e3655a30e9d",
     SeededRandom(1): "d54b66a144579349fec09d58d709296dd489b6169b7cbbbe8ea89539a1ff7794",
     SeededRandom(2): "09eafc9339480c2534e23a0ac6665b82f40d1c1b0af1549dd3dd00b412937c97",
+}
+
+# alpha 2 on the density scenario, seed 7
+GOLDEN_DENSITY = {
+    SeededRandom(1): "7351dcb2a2437ed52cbc2deed35328a08490cb5f1165819f20b640a8516d36fc",
+    SeededRandom(2): "59d45aa7991645a449c261f59ce848075b383d1fe084fd7416c63faa656d801d",
 }
 
 # alpha 1 on a label-shuffled copy of PLANTED (see shuffled_labels)
@@ -110,6 +123,14 @@ def test_detection_bytes_pinned_label_shuffled(planted_net, policy):
 def test_detection_bytes_pinned_dense(policy):
     net = generate_planted(DENSE).network
     assert result_hash(net, 1, policy) == GOLDEN_DENSE[policy]
+
+
+@pytest.mark.parametrize(
+    "policy", list(GOLDEN_DENSITY), ids=[f"a2-density-{p!r}" for p in GOLDEN_DENSITY]
+)
+def test_detection_bytes_pinned_density_scenario(policy):
+    net = generate_density_scenario(7)
+    assert result_hash(net, 2, policy) == GOLDEN_DENSITY[policy]
 
 
 # ``clecc measure`` CSV output; keys name the instance and alpha

@@ -2,6 +2,7 @@
 
 import heapq
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from clecc import (
     MinSize,
     MultiLayerNetwork,
     NotAdjacentError,
+    PlantedParams,
     SeededRandom,
     TooManyNodesError,
     UnknownNodeError,
@@ -23,6 +25,7 @@ from clecc import (
     clecc,
     clecc_table,
     ecc,
+    generate_planted,
     run_detection,
     select_min_pair,
     update_after_removal,
@@ -331,9 +334,8 @@ class TestUpdateAfterRemoval:
                     assert table.as_dict() == clecc_table(work, alpha).as_dict()
 
     def test_adjacency_matches_a_fresh_query(self):
-        # set contents and iteration order: the latter fixes SeededRandom
-        # draws, so the repair rebuilds both endpoint sets once a random
-        # draw has built the value buckets
+        # set contents, and the iteration order of each node's rebuilt
+        # set: SeededRandom draws read ties in that order
         rng = random.Random(32)
         for _ in range(12):
             net = random_network(rng, max_nodes=24, max_layers=3)
@@ -347,7 +349,9 @@ class TestUpdateAfterRemoval:
                     work.remove_pair_edges(*pair)
                     update_after_removal(table, work, *pair)
                     fresh = work._alpha_adjacency(alpha)
-                    assert [list(a) for a in table._mn] == [list(a) for a in fresh]
+                    assert table._mn == fresh
+                    rebuilt = [list(table._rebuilt(v)) for v in range(len(fresh))]
+                    assert rebuilt == [list(a) for a in fresh]
 
 
 def assert_lower_bounds(table):
@@ -489,16 +493,168 @@ class TestLexSelection:
         table = clecc_table(barbell(), 1)
         assert len(table) == 7 and ("c", "d") in table and table.pairs()
         assert table.as_dict()[("c", "d")] == table.value("c", "d") == 0
-        assert table._buckets is None and table._bounds is None
-        assert table._select_min_lex() == table._key_from_labels(("c", "d"))
+        assert table._zeros is None and table._bounds is None
+        cd = table._key_from_labels(("c", "d"))
+        assert table._select_min_lex() == cd
         # lex selection and min_value build the heap only; a random
-        # draw builds the buckets
-        assert table._buckets is None
+        # draw starts the zero-value order
+        assert table._zeros is None
         assert sorted(table._bounds) == sorted((table._value(k), k) for k in table._counts)
         assert table.min_value() == 0
-        assert table._buckets is None
-        assert table._select_min_random(random.Random(0)) == table._key_from_labels(("c", "d"))
-        assert set(table._buckets) == {0.0, 0.5, 1.0}
+        assert table._zeros is None
+        assert table._select_min_random(random.Random(0)) == cd
+        assert table._zeros == {cd: None}
+        # a random draw at a positive minimum builds the heap
+        table = clecc_table(triangle(), 1)
+        table._select_min_random(random.Random(0))
+        assert table._zeros == {} and len(table._bounds) == 3
+
+
+class ValueBuckets:
+    """Reference model of the SeededRandom draw: eager value buckets.
+
+    Each value maps to the keys at that value in the order they took it.
+    The first draw builds the buckets from the table's counts, in their
+    order.  After each repair every entry of both endpoints is
+    revisited, the smaller endpoint index first and each endpoint's
+    neighbours in the order a fresh query lists them; an entry whose
+    value changed moves to the end of its new value's bucket.  A draw
+    picks by position from the lowest bucket.  Values come from
+    ``clecc`` on the network, not from the table.
+    """
+
+    def __init__(self, table, net, alpha):
+        self.table, self.net, self.alpha = table, net, alpha
+        self.buckets = None
+        self.at = {}
+        self.emptied_together = 0  # repairs that set 2+ entries of one endpoint to 0
+
+    def _value(self, key):
+        return clecc(self.net, *self.table._labels(key), self.alpha)
+
+    def _put(self, key, value):
+        self.at[key] = value
+        self.buckets.setdefault(value, {})[key] = None
+
+    def _drop(self, key):
+        value = self.at.pop(key)
+        bucket = self.buckets[value]
+        del bucket[key]
+        if not bucket:
+            del self.buckets[value]
+
+    def draw(self, rng):
+        if self.buckets is None:
+            self.buckets = {}
+            for key in self.table._counts:
+                self._put(key, self._value(key))
+        bucket = list(self.buckets[min(self.buckets)])
+        return bucket[rng.randrange(len(bucket))]
+
+    def sync(self, endpoints=()):
+        """Follow the table after a repair of ``endpoints``; drop deleted keys."""
+        if self.buckets is None:
+            return
+        for key in [k for k in self.at if k not in self.table._counts]:
+            self._drop(key)
+        for e in sorted(endpoints):
+            emptied = 0
+            for z in self.net._mn_idx(e, self.alpha):
+                key = self.table._key(e, z)
+                value = self._value(key)
+                if value != self.at[key]:
+                    self._drop(key)
+                    self._put(key, value)
+                    emptied += value == 0
+            self.emptied_together += emptied > 1
+
+
+class TestRandomSelection:
+    """Random draws from the lower-bound heap follow the eager buckets' order."""
+
+    @staticmethod
+    def run(net, alpha, seed, rng, seen):
+        """One public run of table and model side by side.
+
+        Most steps remove the pair a selection returns; some remove any
+        pair, as the public path allows, which empties several entries
+        of one endpoint at once far more often.  Now and then a split
+        side is frozen.
+        """
+        work = net.copy()
+        table = clecc_table(work, alpha)
+        model = ValueBuckets(table, work, alpha)
+        draws, model_draws = random.Random(seed), random.Random(seed)
+        lex_first = rng.randrange(4)
+        step = 0
+        while len(table):
+            step += 1
+            if step <= lex_first or rng.random() < 0.1:
+                key = table._key_from_labels(select_min_pair(table, Lexicographic()))
+                assert table.min_value() == table.value(*table._labels(key))
+            else:
+                key = table._select_min_random(draws)
+                assert key == model.draw(model_draws)
+                bucket = model.buckets[min(model.buckets)]
+                if min(model.buckets) == 0:
+                    seen["zero draw"] += 1
+                else:
+                    seen["positive draw"] += 1
+                    nodes = [v for k in bucket for v in table._pair(k)]
+                    if len(nodes) > len(set(nodes)):
+                        seen["positive ties sharing a node"] += 1
+            if rng.random() < 0.2:
+                key = table._key_from_labels(rng.choice(table.pairs()))
+            x, y = table._labels(key)
+            i, j = table._pair(key)
+            work.remove_pair_edges(x, y)
+            update_after_removal(table, work, x, y)
+            before = dict(model.at)
+            emptied = model.emptied_together
+            model.sync((i, j))
+            if model.emptied_together > emptied:
+                seen["entries of one endpoint emptied together"] += 1
+            for k, v in model.at.items():
+                if v == 1.0 and before.get(k) == 0.0:
+                    seen["dyad"] += 1
+            # now and then freeze the side of x, if the removal split it off
+            side = {i}
+            stack = [i]
+            while stack:
+                for v in work._mn_idx(stack.pop(), alpha):
+                    if v not in side:
+                        side.add(v)
+                        stack.append(v)
+            if j not in side and len(side) > 1 and rng.random() < 0.5:
+                for u in side:
+                    for v in work._mn_idx(u, alpha):
+                        if u < v and table._key(u, v) in table._counts:
+                            table._delete(table._key(u, v))
+                model.sync()
+                seen["freeze"] += 1
+
+    def test_draws_match_the_value_bucket_model(self):
+        rng = random.Random(41)
+        seen = Counter()
+        nets = [random_network(rng, max_nodes=32, max_layers=3) for _ in range(30)]
+        nets += [
+            generate_planted(
+                PlantedParams(sizes=(10,) * 3, layers=2, p_in=0.5, p_out=0.05, seed=s)
+            ).network
+            for s in range(4)
+        ]
+        for net in nets:
+            for alpha in range(1, net.layer_count + 1):
+                for seed in (1, 2, 3):
+                    self.run(net, alpha, seed, rng, seen)
+        assert set(seen) == {
+            "zero draw",
+            "positive draw",
+            "positive ties sharing a node",
+            "entries of one endpoint emptied together",
+            "dyad",
+            "freeze",
+        }, seen
 
 
 class TestExactness:

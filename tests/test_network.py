@@ -14,7 +14,7 @@ from clecc import (
     clecc_table,
     demo_network,
 )
-from clecc.detection import _split_components
+from clecc.detection import _SpanningForest
 from conftest import barbell, random_network, reciprocal, toy2
 
 
@@ -194,36 +194,85 @@ def bfs_distances(adj, start):
     return dist
 
 
+def assert_spanning(forest, adj):
+    """Parent and child links agree, and each tree spans one component."""
+    parent, children = forest._parent, forest._children
+    for v, p in enumerate(parent):
+        if p != -1:
+            assert p in adj[v] and children[p].count(v) == 1
+        assert all(parent[c] == v for c in children.get(v, ()))
+    covered = 0
+    for root in (v for v, p in enumerate(parent) if p == -1):
+        tree = forest._tree(root)
+        assert tree == set(bfs_distances(adj, root))
+        covered += len(tree)
+    assert covered == len(adj)
+
+
+def drop_edge(adj, a, b):
+    adj[a].discard(b)
+    adj[b].discard(a)
+
+
 class TestConnectedComponents:
-    """Components of the alpha-flattened graph, as the detector splits them."""
+    """The spanning forest that decides when the detector's graph splits."""
 
     def test_barbell_bridge(self):
         net = barbell()
         adj = net._alpha_adjacency(1)
+        forest = _SpanningForest(adj)
         a, b, c, d = (net.node_index(x) for x in "abcd")
-        for x, y in ((a, b), (c, d)):
-            adj[x].discard(y)
-            adj[y].discard(x)
         # the path through c still joins a and b
-        assert _split_components(adj, a, b) is None
-        comp_c, comp_d = _split_components(adj, c, d)
+        drop_edge(adj, a, b)
+        assert forest.split(a, b) is None
+        drop_edge(adj, c, d)
+        comp_c, comp_d = forest.split(c, d)
         assert sorted(net.node_label(v) for v in comp_c) == ["a", "b", "c"]
         assert sorted(net.node_label(v) for v in comp_d) == ["d", "e", "f"]
+        assert_spanning(forest, adj)
 
     def test_edgeless(self):
         adj = [set() for _ in range(5)]
-        assert _split_components(adj, 0, 4) == ({0}, {4})
+        forest = _SpanningForest(adj)
+        assert forest._parent == [-1] * 5
+        assert [forest._tree(v) for v in range(5)] == [{v} for v in range(5)]
 
     def test_edge_plus_isolated(self):
-        # 0-1 joined, 2 isolated; in the second call the search from 1
-        # stops early and its side is completed afterwards
-        adj = [{1}, {0}, set()]
-        assert _split_components(adj, 0, 2) == ({0, 1}, {2})
-        assert _split_components(adj, 2, 1) == ({2}, {0, 1})
+        # 0-1 joined, 2 isolated: the cut side is the child, the other
+        # side comes back in the order the endpoints were given
+        for a, b in ((0, 1), (1, 0)):
+            adj = [{1}, {0}, set()]
+            forest = _SpanningForest(adj)
+            assert forest._parent == [-1, 0, -1]
+            drop_edge(adj, a, b)
+            assert forest.split(a, b) == ({a}, {b})
+            assert_spanning(forest, adj)
+
+    def test_reroots_the_cut_subtree(self):
+        # a 6-cycle: the forest is 0-1 and 0-5-4-3-2, and 1-2 is not a
+        # tree edge; cutting 0-5 leaves 1-2 as the only way back
+        adj = [set() for _ in range(6)]
+        for v in range(6):
+            adj[v].add((v + 1) % 6)
+            adj[(v + 1) % 6].add(v)
+        forest = _SpanningForest(adj)
+        assert forest._parent == [-1, 0, 3, 4, 5, 0]
+        drop_edge(adj, 1, 2)  # a non-tree edge
+        assert forest.split(1, 2) is None
+        assert forest._parent == [-1, 0, 3, 4, 5, 0]
+        adj[1].add(2)
+        adj[2].add(1)
+        drop_edge(adj, 5, 0)
+        assert forest.split(5, 0) is None
+        assert forest._parent == [-1, 0, 1, 2, 3, 4]
+        assert_spanning(forest, adj)
+        drop_edge(adj, 3, 4)
+        assert forest.split(3, 4) == ({0, 1, 2, 3}, {4, 5})
+        assert_spanning(forest, adj)
 
     def test_matches_bfs_under_random_deletions(self):
         rng = random.Random(23)
-        outcomes = {"2-hop": 0, "3-hop": 0, "longer": 0, "separated": 0}
+        outcomes = {"non-tree": 0, "replaced": 0, "separated": 0}
         for _ in range(40):
             n = rng.randint(4, 40)
             p = rng.choice([0.08, 0.15, 0.3])
@@ -233,22 +282,25 @@ class TestConnectedComponents:
                     if rng.random() < p:
                         adj[a].add(b)
                         adj[b].add(a)
+            forest = _SpanningForest(adj)
+            assert_spanning(forest, adj)
             edges = [(a, b) for a in range(n) for b in adj[a] if a < b]
             rng.shuffle(edges)
             for a, b in edges:
                 if rng.random() < 0.5:
                     a, b = b, a
-                adj[a].discard(b)
-                adj[b].discard(a)
+                tree_edge = b == forest._parent[a] or a == forest._parent[b]
+                drop_edge(adj, a, b)
                 dist = bfs_distances(adj, a)
-                got = _split_components(adj, a, b)
+                got = forest.split(a, b)
                 if b in dist:
                     assert got is None
-                    hops = dist[b]
-                    outcomes["longer" if hops > 3 else f"{hops}-hop"] += 1
+                    outcomes["replaced" if tree_edge else "non-tree"] += 1
                 else:
+                    assert tree_edge
                     assert got == (set(dist), set(bfs_distances(adj, b)))
                     outcomes["separated"] += 1
+                assert_spanning(forest, adj)
         assert all(outcomes.values()), outcomes
 
 
