@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -46,6 +48,9 @@ from .measures import clecc, clecc_table
 from .reference import naive_clecc, naive_detect
 
 __all__ = ["main", "cli_main"]
+
+# table rows per write of ``clecc measure``
+_MEASURE_BATCH = 1024
 
 
 class UsageError(Exception):
@@ -187,7 +192,7 @@ def _parse_pair(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _cmd_measure(args) -> str:
+def _cmd_measure(args) -> str | Callable[[TextIO], None]:
     pair = None if args.pair is None else _parse_pair(args.pair)
     net = _read_network(args)
     if not net.edge_count:
@@ -203,14 +208,32 @@ def _cmd_measure(args) -> str:
             )
         return f"{value}\n"
     table = clecc_table(net, args.alpha)
-    lines = ["x,y,clecc"]
-    for (a, b), value in table.items():
-        if args.oracle and naive_clecc(net, a, b, args.alpha) != value:
-            raise OracleMismatchError(
-                f"optimized and reference values disagree for pair ({a!r}, {b!r})"
-            )
-        lines.append(f"{a},{b},{value}")
-    return "\n".join(lines) + "\n"
+    if args.oracle:  # every row is checked before the first byte goes out
+        for (a, b), value in table.items():
+            if naive_clecc(net, a, b, args.alpha) != value:
+                raise OracleMismatchError(
+                    f"optimized and reference values disagree for pair ({a!r}, {b!r})"
+                )
+
+    def write(handle: TextIO) -> None:
+        # few values are distinct, so each one's text is made once
+        texts = _ValueTexts()
+        rows = table.items()
+        handle.write("x,y,clecc\n")
+        while batch := [
+            f"{a},{b},{texts[value]}\n" for (a, b), value in islice(rows, _MEASURE_BATCH)
+        ]:
+            handle.write("".join(batch))
+
+    return write
+
+
+class _ValueTexts(dict):
+    """Text of each float value, made by ``repr`` on first lookup."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = repr(value)
+        return text
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -310,5 +333,20 @@ def cli_main(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Console entry point."""
-    return cli_main(sys.argv[1:] if argv is None else argv)
+    """Console entry point.
+
+    A reader that closes standard output early (``clecc measure | head``)
+    gets the one-line ``error:`` diagnostic and exit code 2, whether the
+    broken pipe shows on a write inside ``cli_main`` or only on the last
+    flush here.  Standard output is then pointed at the null device, so
+    the interpreter's own flush at exit cannot report it again.
+    """
+    code = cli_main(sys.argv[1:] if argv is None else argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        if not code:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code

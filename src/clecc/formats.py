@@ -20,7 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, TextIO
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from typing import Callable, Iterable, TextIO
 
 from .detection import DetectionResult, SeededRandom, validity_tag
 from .errors import (
@@ -45,6 +47,8 @@ __all__ = [
 _HEADER_FIELDS = ("source", "target", "layer")
 # encoder chunks joined per write by write_result(..., file=...)
 _WRITE_BATCH = 4096
+# removal records per write of the indented form
+_REMOVAL_BATCH = 256
 
 
 def _check_delimiter(delimiter: str) -> None:
@@ -80,6 +84,10 @@ def parse_edge_list(
     lines = iter(source.splitlines() if isinstance(source, str) else source)
     first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
     net = MultiLayerNetwork()
+    # registration as add_edge does it, inlined: the same node and
+    # layer order, link maps and errors, without three calls per line
+    node_index, node_labels, links = net._node_index, net._node_labels, net._links
+    layer_bit: dict[str, int] = {}
     records = 0
     had_header = False
     duplicates = 0
@@ -104,21 +112,36 @@ def parse_edge_list(
                 f"{delimiter!r}, got {raw!r}",
                 line=line_no,
             )
-        try:
-            net.add_edge(src, dst, layer)
-        except SelfLoopError:
-            raise SelfLoopError(
-                f"line {line_no}: self-loop on node {src!r}", line=line_no
-            ) from None
-        except DuplicateEdgeError:
+        if src == dst:
+            raise SelfLoopError(f"line {line_no}: self-loop on node {src!r}", line=line_no)
+        x = node_index.get(src)
+        if x is None:
+            x = node_index[src] = len(node_labels)
+            node_labels.append(src)
+            links.append({})
+        y = node_index.get(dst)
+        if y is None:
+            y = node_index[dst] = len(node_labels)
+            node_labels.append(dst)
+            links.append({})
+        bit = layer_bit.get(layer)
+        if bit is None:
+            bit = layer_bit[layer] = 1 << 2 * net.add_layer(layer)
+        out = links[x]
+        mask = out.get(y, 0)
+        if mask & bit:
             if dedupe:
                 duplicates += 1
                 continue
             raise DuplicateEdgeError(
                 f"line {line_no}: duplicate edge ({src!r}, {dst!r}, {layer!r})",
                 line=line_no,
-            ) from None
+            )
+        out[y] = mask | bit
+        back = links[y]
+        back[x] = back.get(x, 0) | bit << 1
         records += 1
+    net._edge_count = records
     return ParsedEdgeList(
         network=net,
         records=records,
@@ -170,34 +193,36 @@ def write_edge_list(
     return "\n".join(lines) + "\n"
 
 
-def result_to_dict(result: DetectionResult) -> dict:
-    """Plain-dict form of a detection result, with canonical ordering."""
+def _header(result: DetectionResult) -> dict:
+    """Every key of the result document but ``removals``, in canonical order."""
     config = result.config
-    seed = (
-        config.tie_policy.seed
-        if isinstance(config.tie_policy, SeededRandom)
-        else None
-    )
+    random_ties = isinstance(config.tie_policy, SeededRandom)
     return {
         "alpha": config.alpha,
         "validity": validity_tag(config.validity),
-        "tie_policy": "random" if isinstance(config.tie_policy, SeededRandom) else "lex",
-        "seed": seed,
+        "tie_policy": "random" if random_ties else "lex",
+        "seed": config.tie_policy.seed if random_ties else None,
         "groups": [
             {"id": gid, "nodes": sorted(group)}
             for gid, group in enumerate(result.groups)
         ],
         "singletons": sorted(result.singletons),
-        "removals": [
-            {
-                "step": rec.step,
-                "pair": sorted(rec.pair),
-                "clecc": rec.clecc,
-                "edges_removed": rec.edges_removed,
-            }
-            for rec in result.removals
-        ],
     }
+
+
+def result_to_dict(result: DetectionResult) -> dict:
+    """Plain-dict form of a detection result, with canonical ordering."""
+    payload = _header(result)
+    payload["removals"] = [
+        {
+            "step": rec.step,
+            "pair": sorted(rec.pair),
+            "clecc": rec.clecc,
+            "edges_removed": rec.edges_removed,
+        }
+        for rec in result.removals
+    ]
+    return payload
 
 
 def write_result(
@@ -206,14 +231,20 @@ def write_result(
     """JSON text for a detection result; equal results give equal bytes.
 
     Returns the text, or with ``file`` writes it there and returns
-    ``None``.  The indented form is encoded in pure Python, one small
-    chunk per token; writing it in batches of chunks keeps memory flat
-    where the joined text of a long removal log would set the peak.
+    ``None``.  The indented form writes each removal record from one
+    fixed template (see ``_write_pretty``); with ``file`` it goes out
+    in batches of records, so the text of a long removal log is never
+    held whole.  The compact form is the standard encoder's, written
+    in batches of its chunks.
     """
     if pretty:
-        encoder = json.JSONEncoder(indent=2)
-    else:
-        encoder = json.JSONEncoder(separators=(",", ":"))
+        if file is not None:
+            _write_pretty(result, file.write)
+            return None
+        parts: list[str] = []
+        _write_pretty(result, parts.append)
+        return "".join(parts)
+    encoder = json.JSONEncoder(separators=(",", ":"))
     payload = result_to_dict(result)
     if file is None:
         return encoder.encode(payload)
@@ -221,6 +252,45 @@ def write_result(
     while batch := "".join(islice(chunks, _WRITE_BATCH)):
         file.write(batch)
     return None
+
+
+# one removal record as ``json.JSONEncoder(indent=2)`` lays it out
+_REMOVAL = (
+    '    {\n      "step": %d,\n      "pair": [\n        %s,\n        %s\n      ],\n'
+    '      "clecc": %s,\n      "edges_removed": %d\n    }'
+)
+
+
+def _write_pretty(result: DetectionResult, write: Callable[[str], object]) -> None:
+    """Pass the indented JSON of ``result`` to ``write``, in pieces.
+
+    The bytes are ``json.JSONEncoder(indent=2).encode(result_to_dict(result))``.
+    The header, groups and singletons come from ``json.dumps``; each
+    removal record fills ``_REMOVAL``, with its labels quoted by the
+    encoder's own ``encode_basestring_ascii`` and a float value written
+    by ``float.__repr__``, as the encoder writes both.
+    """
+    head = json.dumps(_header(result), indent=2)
+    removals = result.removals
+    if not removals:
+        write(head[:-2] + ',\n  "removals": []\n}')
+        return
+    write(head[:-2] + ',\n  "removals": [\n')
+    quote, float_repr = encode_basestring_ascii, float.__repr__
+    for start in range(0, len(removals), _REMOVAL_BATCH):
+        rows = []
+        for rec in removals[start:start + _REMOVAL_BATCH]:
+            a, b = rec.pair
+            if b < a:
+                a, b = b, a
+            value = rec.clecc
+            if type(value) is float and isfinite(value):
+                value = float_repr(value)
+            else:  # an int, or NaN, in a hand-built record
+                value = json.dumps(value)
+            rows.append(_REMOVAL % (rec.step, quote(a), quote(b), value, rec.edges_removed))
+        write((",\n" if start else "") + ",\n".join(rows))
+    write("\n  ]\n}")
 
 
 def partition_to_dict(partition: Iterable[Iterable[str]]) -> dict:

@@ -220,9 +220,20 @@ class CleccTable:
         """Yield ((label_a, label_b), value), each pair label-sorted, in pair order.
 
         Keys over label ranks sort as their label pairs do, so this is
-        ``sorted`` order on the pairs.
+        ``sorted`` order on the pairs.  One walk over the sorted keys
+        reads labels and neighbourhood sizes from arrays indexed by
+        rank, taken when the walk starts, and derives each value as
+        ``_candidate_value`` does.
         """
-        return ((self._labels(key), self._value(key)) for key in sorted(self._counts))
+        n, counts = self._n, self._counts
+        label_of, mn = self._label_of, self._mn
+        labels = [label_of[i] for i in self._by_rank]
+        sizes = [len(mn[i]) for i in self._by_rank]
+        for key in sorted(counts):
+            lo, hi = divmod(key, n)
+            c = counts[key]
+            den = sizes[lo] + sizes[hi] - c - 2
+            yield (labels[lo], labels[hi]), c / den if den else 1.0
 
     def pairs(self) -> list[tuple[str, str]]:
         return [self._labels(key) for key in sorted(self._counts)]

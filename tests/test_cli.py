@@ -1,6 +1,10 @@
 """Command-line surface: flags, exit codes, stdout/stderr discipline."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
@@ -16,7 +20,7 @@ from clecc import (
     write_result,
 )
 from clecc.cli import cli_main
-from conftest import toy2
+from conftest import src_env, toy2
 
 BARBELL_CSV = """\
 source,target,layer
@@ -222,6 +226,61 @@ def test_measure_table(toy2_csv, capsys):
 def test_measure_oracle(toy2_csv, capsys):
     code = cli_main(["measure", "--input", toy2_csv, "--alpha", "2", "--oracle"])
     assert code == 0
+
+
+def test_measure_oracle_mismatch_writes_nothing(toy2_csv, capsys, monkeypatch):
+    # only the last row disagrees: a check made while writing would
+    # already have sent the rows before it
+    real = cli.naive_clecc
+
+    def last_row_wrong(net, x, y, alpha):
+        return -1.0 if (x, y) == ("x", "y") else real(net, x, y, alpha)
+
+    monkeypatch.setattr(cli, "naive_clecc", last_row_wrong)
+    code = cli_main(["measure", "--input", toy2_csv, "--alpha", "1", "--oracle"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == "error: optimized and reference values disagree for pair ('x', 'y')\n"
+
+
+def test_measure_table_in_several_batches(tmp_path, capsys):
+    # more rows than one write takes; the rows are the table's items
+    net = generate_planted(
+        PlantedParams(sizes=(50, 50, 50), layers=2, p_in=0.4, p_out=0.05, seed=4)
+    ).network
+    path = tmp_path / "net.csv"
+    path.write_text(write_edge_list(net))
+    table = cli.clecc_table(net, 1)
+    assert len(table) > 2 * cli._MEASURE_BATCH
+    assert cli_main(["measure", "--input", str(path), "--alpha", "1"]) == 0
+    rows = [f"{a},{b},{value!r}" for (a, b), value in table.items()]
+    assert capsys.readouterr().out == "\n".join(["x,y,clecc", *rows]) + "\n"
+
+
+def test_traced_cli_names_are_called(barbell_csv, capsys, monkeypatch):
+    # the benchmark's traced pass times these four clecc.cli bindings by
+    # name; a command that stopped calling one would read 0 s there
+    names = ("parse_edge_list", "clecc_table", "run_detection", "write_result")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    assert cli_main(["detect", "--input", barbell_csv, "--alpha", "1"]) == 0
+    assert calls == {"parse_edge_list": 1, "run_detection": 1, "write_result": 1}
+    calls.clear()
+    assert cli_main(["measure", "--input", barbell_csv, "--alpha", "1"]) == 0
+    assert calls == {"parse_edge_list": 1, "clecc_table": 1}
+    # the traced pass's probe takes the indented text back positionally
+    result = run_detection(parse_edge_list(BARBELL_CSV).network, DetectionConfig(alpha=1))
+    assert json.loads(write_result(result, True))["removals"]
 
 
 def test_measure_unknown_pair(toy2_csv, capsys):
@@ -486,3 +545,52 @@ def test_missing_command(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
+
+
+@pytest.fixture(scope="module")
+def planted_1200_csv(tmp_path_factory):
+    """Twelve blocks of 100: measure and detect outputs of about 400 KB."""
+    planted = generate_planted(
+        PlantedParams(sizes=(100,) * 12, layers=2, p_in=0.1, p_out=0.002, seed=1)
+    )
+    path = tmp_path_factory.mktemp("pipe") / "planted.csv"
+    path.write_text(write_edge_list(planted.network))
+    return str(path)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["measure", "detect"])
+@pytest.mark.parametrize("reader", ["first-line", "none"])
+def test_closed_stdout_is_a_one_line_error(
+    command, unbuffered, reader, planted_1200_csv, barbell_csv
+):
+    # "first-line" reads one line and leaves, as ``| head -1`` does, from
+    # an output several times the pipe's capacity, so later writes fail;
+    # "none" closes the pipe before the small barbell output is written,
+    # so buffered output fails only on the last flush
+    argv = [command, "--input", planted_1200_csv, "--alpha", "1"]
+    if reader == "none":
+        argv[2] = barbell_csv
+    elif command == "detect":
+        argv.append("--log-removals")
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_fd, write_fd = os.pipe()
+    if reader == "none":
+        os.close(read_fd)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clecc", *argv],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write_fd)
+    if reader == "first-line":
+        with open(read_fd, "rb") as pipe:
+            first = pipe.readline()
+        assert first == (b"x,y,clecc\n" if command == "measure" else b"{\n")
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"

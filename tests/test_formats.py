@@ -10,20 +10,29 @@ import pytest
 from clecc import (
     CleccError,
     DetectionConfig,
+    DetectionResult,
     DuplicateEdgeError,
+    Lexicographic,
     MalformedLineError,
     MinSize,
+    MultiLayerNetwork,
     PlantedParams,
+    RemovalRecord,
+    SeededRandom,
     SelfLoopError,
+    StrongCommunity,
+    WeakCommunity,
     demo_network,
     generate_planted,
     parse_edge_list,
     partition_from_json,
     partition_to_dict,
+    result_to_dict,
     run_detection,
     write_edge_list,
     write_result,
 )
+from clecc import formats
 from conftest import barbell, random_network, triangle
 
 DEMO_CSV = """\
@@ -185,6 +194,29 @@ class TestParseEdgeList:
         parsed = parse_edge_list("01,1,l1\n")
         assert set(parsed.network.nodes()) == {"01", "1"}
 
+    def test_builds_what_add_edge_builds(self):
+        # the parser registers nodes and layers itself; the network must
+        # equal one built by add_edge in line order, down to the link maps
+        rng = random.Random(41)
+        for _ in range(20):
+            edges = list(random_network(rng, max_nodes=20, max_layers=3).edges())
+            rng.shuffle(edges)
+            repeats = rng.sample(edges, min(3, len(edges)))
+            lines = [",".join(e) for e in edges + repeats]
+            parsed = parse_edge_list("\n".join(lines), dedupe=True)
+            expected = MultiLayerNetwork()
+            for edge in edges:
+                expected.add_edge(*edge)
+            net = parsed.network
+            assert net._node_labels == expected._node_labels
+            assert net._node_index == expected._node_index
+            assert net._layer_labels == expected._layer_labels
+            assert net._layer_index == expected._layer_index
+            assert net._even_bits == expected._even_bits
+            assert net._links == expected._links
+            assert net.edge_count == expected.edge_count == parsed.records == len(edges)
+            assert parsed.duplicates_dropped == len(repeats)
+
 
 class TestWriteEdgeList:
     def test_round_trip_demo(self):
@@ -290,6 +322,23 @@ class TestWriteResult:
             assert "".join(writes) == write_result(result, pretty=pretty)
             assert len(writes) > 1
 
+    def test_multi_batch_log_equals_the_text(self):
+        records = 2 * formats._REMOVAL_BATCH + 1
+        result = DetectionResult(
+            config=DetectionConfig(alpha=1),
+            groups=[],
+            singletons=["a"],
+            removals=[
+                RemovalRecord(k, (f"n{k}", f"m{k}"), k / (records + 1), 1)
+                for k in range(1, records + 1)
+            ],
+        )
+        writes = []
+        write_result(result, pretty=True, file=SimpleNamespace(write=writes.append))
+        assert "".join(writes) == write_result(result, pretty=True) == encoder_text(result)
+        # head, three batches of records, tail
+        assert len(writes) == 5
+
     def test_key_order_fixed(self):
         result = run_detection(barbell(), DetectionConfig(alpha=1))
         keys = list(json.loads(write_result(result)).keys())
@@ -302,6 +351,95 @@ class TestWriteResult:
             "singletons",
             "removals",
         ]
+
+
+def encoder_text(result) -> str:
+    """The indented form as the standard encoder writes it."""
+    return json.JSONEncoder(indent=2).encode(result_to_dict(result))
+
+
+# labels the encoder escapes: non-ASCII (also outside the BMP), quote,
+# backslash, control characters and the JavaScript line separators
+ODD_LABELS = [
+    "\u00e9t\u00e9", "\u6f22\u5b57", "\U0001f600", 'say "hi"', "back\\slash",
+    "tab\there", "nul\x00", "bell\x07", "del\x7f", "line\u2028sep",
+]
+
+
+def hand_built(groups, singletons, removals, **config) -> DetectionResult:
+    return DetectionResult(
+        config=DetectionConfig(**config),
+        groups=groups,
+        singletons=singletons,
+        removals=removals,
+    )
+
+
+HAND_BUILT = {
+    "odd-labels-and-values": hand_built(
+        [set(ODD_LABELS[:4]), {"b", "a"}],
+        ODD_LABELS[4:],
+        [
+            RemovalRecord(1, ("z", "a"), 0.0, 2),  # pair given unsorted
+            RemovalRecord(2, (ODD_LABELS[5], ODD_LABELS[0]), 1.0, 1),
+            RemovalRecord(3, ("m", "n"), 1, 3),  # an int value
+            RemovalRecord(4, ("b", "a"), 1 / 3, 4),
+            RemovalRecord(5, ("c", "d"), 2.5e-05, 1),
+            RemovalRecord(6, ("e", "f"), float("nan"), 1),
+        ],
+        alpha=2,
+        validity=MinSize(3),
+        tie_policy=SeededRandom(7),
+    ),
+    "no-groups": hand_built(
+        [], ["x", "y"], [RemovalRecord(1, ("y", "x"), 0.5, 2)], tie_policy=SeededRandom(0)
+    ),
+    "no-singletons": hand_built(
+        [{"x", "y"}], [], [RemovalRecord(1, ("x", "y"), 0.25, 1)], validity=StrongCommunity()
+    ),
+    "no-groups-no-singletons-empty-log": hand_built([], [], []),
+    "empty-log": hand_built([{"p", "q"}], ["r"], [], validity=MinSize(12)),
+}
+
+
+class TestPrettyTemplate:
+    """The indented form is the standard encoder's text, byte for byte."""
+
+    def check(self, result) -> None:
+        expected = encoder_text(result)
+        assert write_result(result, pretty=True) == expected
+        writes = []
+        assert write_result(result, True, SimpleNamespace(write=writes.append)) is None
+        assert "".join(writes) == expected
+
+    @pytest.mark.parametrize("name", list(HAND_BUILT))
+    def test_hand_built_results(self, name):
+        self.check(HAND_BUILT[name])
+
+    @pytest.mark.parametrize(
+        "policy", [Lexicographic(), SeededRandom(3)], ids=["seed-null", "seed-int"]
+    )
+    @pytest.mark.parametrize("log_removals", [True, False], ids=["log", "no-log"])
+    @pytest.mark.parametrize(
+        "validity", [MinSize(3), WeakCommunity(), StrongCommunity()], ids=repr
+    )
+    def test_detection_results(self, policy, log_removals, validity):
+        for net in (barbell(), triangle(), demo_network()):
+            config = DetectionConfig(
+                alpha=1, validity=validity, tie_policy=policy, log_removals=log_removals
+            )
+            result = run_detection(net, config)
+            assert bool(result.removals) == log_removals
+            self.check(result)
+
+    def test_odd_labels_through_detection(self):
+        rng = random.Random(5)
+        base = random_network(rng, max_nodes=len(ODD_LABELS), max_layers=2)
+        rename = dict(zip(base.nodes(), ODD_LABELS))
+        net = MultiLayerNetwork()
+        for source, target, layer in base.edges():
+            net.add_edge(rename[source], rename[target], layer)
+        self.check(run_detection(net, DetectionConfig(alpha=1, validity=MinSize(2))))
 
 
 class TestPartitionJson:

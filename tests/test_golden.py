@@ -25,6 +25,14 @@ they pin how the detector maps between the two, both in the
 lexicographic tie-break and in the order in which a pair's endpoints
 are visited.
 
+The pretty cases pin the ``clecc detect`` standard output, the
+indented JSON the command line writes, on the planted instance.
+
+The positive-tie case runs seeded random ties on the benchmark's
+planted input (twelve blocks of 100 on two sparse layers), where
+hundreds of draws fall at a positive minimum shared by dozens of
+pairs, so it pins the order of those ties on a second input.
+
 The measure cases pin the ``clecc measure`` CSV (the whole table, as
 the command line prints it) on the same instances and on a sparse one
 whose nodes all have fewer than n / 256 alpha-neighbours.
@@ -80,6 +88,22 @@ GOLDEN_DENSITY = {
     SeededRandom(2): "59d45aa7991645a449c261f59ce848075b383d1fe084fd7416c63faa656d801d",
 }
 
+# ``clecc detect --log-removals`` stdout on PLANTED, weak validity
+GOLDEN_PRETTY = {
+    (1, Lexicographic()): "e8b7f16b5fa94d7c02290f085ed4755fd574f43bd06c343d5c7777c0ea3a5fde",
+    (1, SeededRandom(1)): "d45ca047e618b34640ebc185613e9cd87857c0759b0dbeccfb3e74d7ad26c52a",
+    (2, Lexicographic()): "d2a1492169b9ad6c87ccd6e4d5d637d1948b7e3dd7d641fca40633ade591e89d",
+    (2, SeededRandom(1)): "6f930fa2382b8df879b65951b4ae0269ec85c485737cf573f97a1771eeac3669",
+}
+
+# the benchmark's planted input: twelve blocks of 100 on two sparse layers
+BENCH_PLANTED = PlantedParams(sizes=(100,) * 12, layers=2, p_in=0.1, p_out=0.002, seed=1)
+
+# alpha 1 on BENCH_PLANTED; most non-zero draws tie at a positive minimum
+GOLDEN_POSITIVE_TIES = {
+    SeededRandom(11): "71f76ac457284629677366de2e48149fca1625070a1482480b15d22474fc324f",
+}
+
 # alpha 1 on a label-shuffled copy of PLANTED (see shuffled_labels)
 GOLDEN_SHUFFLED = {
     Lexicographic(): "8950d757d72880cbc791c5547ea3e9d85abafc64585e2faddc2c0f9fb49d0904",
@@ -131,6 +155,31 @@ def test_detection_bytes_pinned_dense(policy):
 def test_detection_bytes_pinned_density_scenario(policy):
     net = generate_density_scenario(7)
     assert result_hash(net, 2, policy) == GOLDEN_DENSITY[policy]
+
+
+@pytest.mark.parametrize(
+    "policy",
+    list(GOLDEN_POSITIVE_TIES),
+    ids=[f"a1-bench-planted-{p!r}" for p in GOLDEN_POSITIVE_TIES],
+)
+def test_detection_bytes_pinned_positive_ties(policy):
+    net = generate_planted(BENCH_PLANTED).network
+    assert result_hash(net, 1, policy) == GOLDEN_POSITIVE_TIES[policy]
+
+
+@pytest.mark.parametrize(
+    "alpha, policy", list(GOLDEN_PRETTY), ids=[f"a{a}-{p!r}" for a, p in GOLDEN_PRETTY]
+)
+def test_detect_stdout_pinned(planted_net, alpha, policy, tmp_path, capsys):
+    path = tmp_path / "net.csv"
+    path.write_text(write_edge_list(planted_net), encoding="utf-8")
+    ties = []
+    if isinstance(policy, SeededRandom):
+        ties = ["--ties", "random", "--seed", str(policy.seed)]
+    argv = ["detect", "--input", str(path), "--alpha", str(alpha), "--log-removals"]
+    assert cli_main(argv + ties) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_PRETTY[(alpha, policy)]
 
 
 # ``clecc measure`` CSV output; keys name the instance and alpha

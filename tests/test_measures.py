@@ -197,6 +197,51 @@ class TestCleccTable:
             assert pairs == sorted(pairs) == table.pairs()
             assert len(set(pairs)) == len(table)
 
+    def test_items_lazy_and_equal_naive_through_removals_and_freezes(self):
+        rng = random.Random(37)
+        for seed in range(15):
+            net = shuffled_labels(random_network(rng, max_nodes=24, max_layers=3), seed)
+            alpha = rng.randint(1, net.layer_count)
+            table = clecc_table(net, alpha)
+            work = net.copy()
+            frozen: set[str] = set()
+            for step in range(rng.randint(0, 12)):
+                if not len(table):
+                    break
+                x, y = rng.choice(table.pairs())
+                work.remove_pair_edges(x, y)
+                update_after_removal(table, work, x, y)
+                if step % 3 == 2:  # freeze x's component, as the detector does
+                    frozen |= freeze_component(table, work.node_index(x))
+            items = table.items()
+            assert iter(items) is items and not isinstance(items, (list, tuple))
+            got = list(items)
+            pairs = [pair for pair, _ in got]
+            assert all(a < b for a, b in pairs) and pairs == sorted(pairs)
+            live = sorted(set(work.nodes()) - frozen)
+            expected = [
+                ((x, y), naive_clecc(work, x, y, alpha))
+                for k, x in enumerate(live)
+                for y in live[k + 1:]
+                if work.layers_connecting(x, y) >= alpha
+            ]
+            assert got == expected
+
+
+def freeze_component(table, start: int) -> set[str]:
+    """Delete every entry of ``start``'s working component, as a freeze does."""
+    mn, component, stack = table._mn, {start}, [start]
+    while stack:
+        for w in mn[stack.pop()]:
+            if w not in component:
+                component.add(w)
+                stack.append(w)
+    for v in component:
+        for w in mn[v]:
+            if w > v:
+                table._delete(table._key(v, w))
+    return {table._label_of[v] for v in component}
+
 
 def hub_path():
     """An 800-node path and a 4-clique of hubs, each hub joined to 12 path nodes.
