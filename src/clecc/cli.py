@@ -238,12 +238,9 @@ class _ValueTexts(dict):
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"--sizes expects comma-separated integers, got {text!r}")
-    if not sizes:
-        raise UsageError("--sizes must name at least one community")
-    return sizes
 
 
 def _cmd_generate_planted(args) -> str:
@@ -328,6 +325,9 @@ def cli_main(argv: list[str]) -> int:
         return 2
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:
+        print(f"error: output cannot be encoded: {exc}", file=sys.stderr)
         return 2
     return 0
 

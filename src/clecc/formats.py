@@ -9,7 +9,9 @@ and lines starting with ``#`` are ignored, and one byte-order mark
 "CSV UTF-8" exports write one.  Labels are opaque text and
 are never coerced to numbers, so ``01`` and ``1`` stay distinct nodes.
 There is no quoting: the delimiter and newlines cannot appear inside
-labels.
+labels.  The parser builds the network through
+``MultiLayerNetwork.add_edge``, one call per record, so the link-map
+layout is known to ``network`` alone.
 
 Result JSON has a fixed key order and sorted label arrays, so two
 equal detection results always serialize to identical bytes.
@@ -75,20 +77,21 @@ def parse_edge_list(
     """Build a network from edge-list text.
 
     ``source`` may be a string of CSV text or any iterable of lines
-    (an open file works).  Errors carry the 1-based line number.  With
-    ``dedupe=True`` repeated (source, target, layer) triples are
-    dropped and counted instead of raising.  An empty ``delimiter``
-    raises :class:`InvalidParamsError`.
+    (an open file works).  A string breaks into lines only at ``\\n``,
+    ``\\r\\n`` and ``\\r``, as a file opened in text mode does.  Each
+    record goes into the network through
+    :meth:`MultiLayerNetwork.add_edge`.  Errors carry the 1-based line
+    number.  With ``dedupe=True`` repeated (source, target, layer)
+    triples are dropped and counted instead of raising.  An empty
+    ``delimiter`` raises :class:`InvalidParamsError`.
     """
     _check_delimiter(delimiter)
-    lines = iter(source.splitlines() if isinstance(source, str) else source)
+    if isinstance(source, str):
+        source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = iter(source)
     first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
     net = MultiLayerNetwork()
-    # registration as add_edge does it, inlined: the same node and
-    # layer order, link maps and errors, without three calls per line
-    node_index, node_labels, links = net._node_index, net._node_labels, net._links
-    layer_bit: dict[str, int] = {}
-    records = 0
+    add_edge = net.add_edge
     had_header = False
     duplicates = 0
     expect_header = True
@@ -114,37 +117,18 @@ def parse_edge_list(
             )
         if src == dst:
             raise SelfLoopError(f"line {line_no}: self-loop on node {src!r}", line=line_no)
-        x = node_index.get(src)
-        if x is None:
-            x = node_index[src] = len(node_labels)
-            node_labels.append(src)
-            links.append({})
-        y = node_index.get(dst)
-        if y is None:
-            y = node_index[dst] = len(node_labels)
-            node_labels.append(dst)
-            links.append({})
-        bit = layer_bit.get(layer)
-        if bit is None:
-            bit = layer_bit[layer] = 1 << 2 * net.add_layer(layer)
-        out = links[x]
-        mask = out.get(y, 0)
-        if mask & bit:
-            if dedupe:
-                duplicates += 1
-                continue
-            raise DuplicateEdgeError(
-                f"line {line_no}: duplicate edge ({src!r}, {dst!r}, {layer!r})",
-                line=line_no,
-            )
-        out[y] = mask | bit
-        back = links[y]
-        back[x] = back.get(x, 0) | bit << 1
-        records += 1
-    net._edge_count = records
+        try:
+            add_edge(src, dst, layer)
+        except DuplicateEdgeError:
+            if not dedupe:
+                raise DuplicateEdgeError(
+                    f"line {line_no}: duplicate edge ({src!r}, {dst!r}, {layer!r})",
+                    line=line_no,
+                ) from None
+            duplicates += 1
     return ParsedEdgeList(
         network=net,
-        records=records,
+        records=net.edge_count,
         had_header=had_header,
         duplicates_dropped=duplicates,
     )

@@ -81,15 +81,26 @@ class MultiLayerNetwork:
     def add_edge(self, source: str, target: str, layer: str) -> None:
         """Add the directed edge (source, target) on the given layer.
 
-        Unknown node and layer labels are registered on the fly.
-        Raises :class:`SelfLoopError` when source equals target and
-        :class:`DuplicateEdgeError` when the triple is already stored.
+        Unknown node and layer labels are registered on the fly through
+        :meth:`add_node` and :meth:`add_layer`.  This is the only code
+        that sets link bits and adds to the edge count; the edge-list
+        parser builds through it too.  Raises :class:`SelfLoopError` when
+        source equals target and :class:`DuplicateEdgeError` when the
+        triple is already stored.
         """
         if source == target:
             raise SelfLoopError(f"self-loop on node {source!r} is not allowed")
-        x = self.add_node(source)
-        y = self.add_node(target)
-        bit = 1 << 2 * self.add_layer(layer)
+        # a known label costs one lookup, not a registration call
+        x = self._node_index.get(source)
+        if x is None:
+            x = self.add_node(source)
+        y = self._node_index.get(target)
+        if y is None:
+            y = self.add_node(target)
+        l = self._layer_index.get(layer)
+        if l is None:
+            l = self.add_layer(layer)
+        bit = 1 << 2 * l
         out = self._links[x]
         mask = out.get(y, 0)
         if mask & bit:

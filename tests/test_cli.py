@@ -10,6 +10,7 @@ import pytest
 
 from clecc import (
     DetectionConfig,
+    DetectionResult,
     MinSize,
     PlantedParams,
     cli,
@@ -158,6 +159,32 @@ def test_detect_oracle_flag(barbell_csv, capsys):
     assert "oracle check passed" in out.err
 
 
+def test_detect_oracle_needs_lex_ties(barbell_csv, capsys):
+    argv = ["detect", "--input", barbell_csv, "--alpha", "1", "--ties", "random"]
+    code = cli_main([*argv, "--seed", "1", "--oracle"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("usage error: --oracle needs --ties lex")
+
+
+def test_detect_oracle_mismatch_writes_nothing(barbell_csv, capsys, monkeypatch):
+    def no_groups(net, config):
+        return DetectionResult(config=config, groups=[], singletons=net.nodes(), removals=[])
+
+    monkeypatch.setattr(cli, "naive_detect", no_groups)
+    code = cli_main(
+        [
+            "detect", "--input", barbell_csv, "--alpha", "1",
+            "--validity", "min-size:3", "--oracle",
+        ]
+    )
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == "error: optimized detection and brute-force reference disagree\n"
+
+
 def test_detect_stdout_output_and_oracle_bytes_agree(tmp_path, capsys):
     # no side ever qualifies, so every pair is logged: a removal log long
     # enough to be written in several batches
@@ -298,6 +325,25 @@ def test_measure_pair_same_node_is_usage_error(toy2_csv, capsys):
     assert out.err.startswith("usage error: ") and "distinct" in out.err
 
 
+@pytest.mark.parametrize("pair", ["a", "a,", "a,b,c"])
+def test_measure_pair_needs_two_labels(toy2_csv, capsys, pair):
+    code = cli_main(["measure", "--input", toy2_csv, "--alpha", "1", "--pair", pair])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == "usage error: --pair expects two comma-separated node labels\n"
+
+
+def test_measure_pair_oracle_mismatch(toy2_csv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "naive_clecc", lambda net, x, y, alpha: -1.0)
+    argv = ["measure", "--input", toy2_csv, "--alpha", "1", "--pair", "x,y", "--oracle"]
+    code = cli_main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == "error: optimized and reference values disagree for pair ('x', 'y')\n"
+
+
 def test_measure_delimiter_and_dedupe(tmp_path, capsys):
     path = tmp_path / "semi_dup.csv"
     path.write_text("x;y;l1\nx;y;l1\ny;x;l1\ny;u;l1\n")
@@ -367,6 +413,20 @@ def test_generate_planted_bad_probability(tmp_path, capsys):
         ]
     )
     assert code == 1
+
+
+def test_generate_planted_bad_sizes(tmp_path, capsys):
+    code = cli_main(
+        [
+            "generate", "planted", "--sizes", "4,x", "--layers", "1",
+            "--p-in", "0.5", "--p-out", "0.1", "--seed", "5",
+            "--output", str(tmp_path / "x.csv"),
+        ]
+    )
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err == "usage error: --sizes expects comma-separated integers, got '4,x'\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_generate_scenario4(tmp_path):
@@ -594,3 +654,22 @@ def test_closed_stdout_is_a_one_line_error(
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_unencodable_output_is_a_one_line_error(tmp_path):
+    path = tmp_path / "cafe.csv"
+    path.write_text("café,b,l1\nb,café,l1\n", encoding="utf-8")
+    env = src_env()
+    env["PYTHONIOENCODING"] = "ascii"
+
+    def run(command):
+        argv = [sys.executable, "-m", "clecc", command, "--input", str(path), "--alpha", "1"]
+        return subprocess.run(argv, capture_output=True, env=env, timeout=120)
+
+    measure = run("measure")
+    assert measure.returncode == 2
+    assert measure.stderr.startswith(b"error: output cannot be encoded: ")
+    assert measure.stderr.count(b"\n") == 1 and b"Traceback" not in measure.stderr
+    # detect's JSON escapes every non-ASCII label
+    detect = run("detect")
+    assert detect.returncode == 0 and b'"caf\\u00e9"' in detect.stdout

@@ -207,6 +207,10 @@ class TestValidateGroup:
         with pytest.raises(TypeError):
             validate_group(barbell(), {"a", "b"}, "weak")
 
+    @pytest.mark.parametrize("condition", [MinSize(3), WeakCommunity(), StrongCommunity()])
+    def test_tag_parses_back(self, condition):
+        assert detection.parse_validity(detection.validity_tag(condition)) == condition
+
     def test_agrees_with_the_reference_on_random_networks(self):
         # validity reads the network's link maps, which removals edit in
         # place; the reference rebuilds its adjacency from the edge list

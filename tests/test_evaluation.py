@@ -48,6 +48,11 @@ def test_overlapping_blocks_rejected():
         nmi([{"a", "b"}, {"b", "c"}], [{"a", "b", "c"}])
 
 
+def test_empty_block_rejected():
+    with pytest.raises(ValueError, match="empty block"):
+        nmi([{"a"}, set()], [{"a"}])
+
+
 def test_against_sklearn():
     sklearn_metrics = pytest.importorskip("sklearn.metrics")
     rng = random.Random(6)

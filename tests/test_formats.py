@@ -178,6 +178,32 @@ class TestParseEdgeList:
             parse_edge_list(io.StringIO(text))
         assert (err.value.line, str(err.value)) == (line, message)
 
+    @pytest.mark.parametrize(
+        "brk",
+        ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r", "\r\n"],
+        ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS", "CR", "CRLF"],
+    )
+    @pytest.mark.parametrize(
+        "template",
+        ["x,a{}b,l1\n", "a,b,l1{}\nc,c,l1\n", "a,b,l1{}c,c,l1\n", "a,b,l1\n{}a,b,l1\n"],
+        ids=["in-a-label", "before-a-newline", "between-records", "alone"],
+    )
+    def test_a_string_breaks_lines_where_a_file_does(self, tmp_path, brk, template):
+        # a file opened in text mode breaks lines at \n, \r\n and \r only
+        def outcome(source):
+            try:
+                parsed = parse_edge_list(source)
+            except (MalformedLineError, SelfLoopError, DuplicateEdgeError) as exc:
+                return type(exc), exc.line
+            net = parsed.network
+            return net.nodes(), net.layers(), list(net.edges()), parsed.records
+
+        text = template.format(brk)
+        path = tmp_path / "net.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            assert outcome(text) == outcome(handle)
+
     def test_custom_delimiter(self):
         parsed = parse_edge_list("source;target;layer\na;b;l1\n", delimiter=";")
         assert parsed.had_header
@@ -244,6 +270,7 @@ class TestWriteEdgeList:
             (("", "b", "l1"), True),
             (("a", "b", ""), True),
             (("a\u2028z", "b", "l1"), True),
+            (("#a", "b", "l1"), True),
             (("source", "target", "layer"), False),
             (("\ufeffa", "b", "l1"), False),
         ]

@@ -1,9 +1,12 @@
 """Core network model: construction rules, neighbourhoods, flattening."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import clecc
 from clecc import (
     AlphaOutOfRangeError,
     DuplicateEdgeError,
@@ -177,6 +180,10 @@ class TestRemovePairEdges:
     def test_unknown_node(self):
         with pytest.raises(UnknownNodeError):
             demo_network().remove_pair_edges("x", "nope")
+
+    def test_same_node_twice(self):
+        with pytest.raises(SelfLoopError):
+            demo_network().remove_pair_edges("x", "x")
 
 
 def bfs_distances(adj, start):
@@ -432,3 +439,68 @@ class TestPlainModel:
             triples -= between
             _assert_matches_model(net, triples, nodes, layers)
             _assert_matches_model(dup, snapshot, nodes, layers)
+
+
+# the fields that hold a MultiLayerNetwork's labels, layers and link maps
+NETWORK_FIELDS = {
+    "_node_index", "_node_labels", "_layer_index", "_layer_labels",
+    "_links", "_even_bits", "_edge_count",
+}
+SOURCES = Path(clecc.__file__).parent
+
+
+def field_writes(tree):
+    """Lines that assign or delete a network field of an object other than self.
+
+    A write through a subscript (``net._links[x][y] = m``) counts too.
+    """
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, (ast.Attribute, ast.Subscript))
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+        ):
+            continue
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in NETWORK_FIELDS
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        ):
+            yield node.lineno
+
+
+class TestLayoutOwnership:
+    """The link-map layout is written in network.py alone."""
+
+    def test_only_the_network_writes_its_fields(self):
+        paths = sorted(SOURCES.glob("*.py"))
+        assert "network.py" in {path.name for path in paths}
+        writes = [
+            f"{path.name}:{line}"
+            for path in paths
+            if path.name != "network.py"
+            for line in field_writes(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert writes == []
+
+    def test_the_parser_names_no_field(self):
+        tree = ast.parse((SOURCES / "formats.py").read_text(encoding="utf-8"))
+        named = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in NETWORK_FIELDS)
+            or (isinstance(node, ast.Name) and node.id in NETWORK_FIELDS)
+        ]
+        assert named == []
+
+    def test_the_check_sees_writes_through_other_objects(self):
+        code = (
+            "net._edge_count = 1\n"
+            "net._links[x][y] |= 2\n"
+            "del other._node_index[k]\n"
+            "a, net._layer_labels = 1, []\n"
+            "self._links = []\n"
+            "links = net._links\n"
+        )
+        assert list(field_writes(ast.parse(code))) == [1, 2, 3, 4]

@@ -6,8 +6,10 @@ import pytest
 
 from clecc import (
     DetectionConfig,
+    EmptyNetworkError,
     Lexicographic,
     MinSize,
+    MultiLayerNetwork,
     PlantedParams,
     SeededRandom,
     StrongCommunity,
@@ -30,6 +32,10 @@ class TestNaiveClecc:
         assert naive_clecc(square_diag(), "a", "c", 1) == 1.0
         assert naive_clecc(toy2(), "x", "y", 2) == 0.0
         assert naive_clecc(dyad(), "a", "b", 1) == 1.0
+
+    def test_same_node_twice(self):
+        with pytest.raises(ValueError, match="two distinct nodes"):
+            naive_clecc(triangle(), "a", "a", 1)
 
     def test_agrees_with_optimized_on_random_samples(self):
         rng = random.Random(17)
@@ -63,6 +69,10 @@ class TestNaiveDetect:
                 triangle(),
                 DetectionConfig(alpha=1, tie_policy=SeededRandom(1)),
             )
+
+    def test_empty_network(self):
+        with pytest.raises(EmptyNetworkError):
+            naive_detect(MultiLayerNetwork(), DetectionConfig(alpha=1))
 
     def test_random_planted_equivalence(self):
         rng = random.Random(18)
