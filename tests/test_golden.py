@@ -23,7 +23,10 @@ The shuffled cases run the same instance with its node labels permuted
 but its node indices kept, so label order and index order disagree:
 they pin how the detector maps between the two, both in the
 lexicographic tie-break and in the order in which a pair's endpoints
-are visited.
+are visited.  The shuffled dense cases do the same to the dense
+instance: under random ties they pin the draw order a second time on
+an input where many draws tie at a positive minimum among keys that no
+repair has touched.
 
 The pretty cases pin the ``clecc detect`` standard output, the
 indented JSON the command line writes, on the planted instance.
@@ -111,6 +114,12 @@ GOLDEN_SHUFFLED = {
     SeededRandom(2): "3e7927abbd5fd050af7c8f373d7fc505286bb486cc726afe2fd03fcabff87b0b",
 }
 
+# alpha 1 on a label-shuffled copy of DENSE (see shuffled_labels)
+GOLDEN_DENSE_SHUFFLED = {
+    SeededRandom(1): "a495c4289b8eeed7a9c626172bd017c3bda95abfa0ceeef6b1674f9d122cf31c",
+    SeededRandom(2): "388cf4be7b0c41b31b7cac21b903d4f8a9ecd0d25da74e05b57d0a2e20b7f529",
+}
+
 
 def result_hash(net, alpha: int, policy) -> str:
     config = DetectionConfig(
@@ -147,6 +156,17 @@ def test_detection_bytes_pinned_label_shuffled(planted_net, policy):
 def test_detection_bytes_pinned_dense(policy):
     net = generate_planted(DENSE).network
     assert result_hash(net, 1, policy) == GOLDEN_DENSE[policy]
+
+
+@pytest.mark.parametrize(
+    "policy",
+    list(GOLDEN_DENSE_SHUFFLED),
+    ids=[f"a1-dense-shuffled-{p!r}" for p in GOLDEN_DENSE_SHUFFLED],
+)
+def test_detection_bytes_pinned_dense_label_shuffled(policy):
+    net = shuffled_labels(generate_planted(DENSE).network, seed=3)
+    assert net.nodes() != sorted(net.nodes())
+    assert result_hash(net, 1, policy) == GOLDEN_DENSE_SHUFFLED[policy]
 
 
 @pytest.mark.parametrize(
