@@ -7,6 +7,9 @@ Subcommands: ``detect`` (run group extraction on an edge-list file),
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Results go to
 standard output or ``--output``; all diagnostics go to standard error.
+
+The generators and NMI scoring are imported by the handlers that use
+them, so ``detect`` and ``measure`` jobs never load them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import (
     MalformedPartitionError,
     OracleMismatchError,
 )
-from .evaluation import nmi
 from .formats import (
     parse_edge_list,
     partition_from_json,
@@ -43,7 +45,6 @@ from .formats import (
     write_edge_list,
     write_result,
 )
-from .generators import PlantedParams, generate_density_scenario, generate_planted
 from .measures import clecc, clecc_table
 from .reference import naive_clecc, naive_detect
 
@@ -216,6 +217,7 @@ def _cmd_measure(args) -> str | Callable[[TextIO], None]:
                 )
 
     def write(handle: TextIO) -> None:
+        _check_encodable(net, args.alpha, handle)
         # few values are distinct, so each one's text is made once
         texts = _ValueTexts()
         rows = table.items()
@@ -226,6 +228,25 @@ def _cmd_measure(args) -> str | Callable[[TextIO], None]:
             handle.write("".join(batch))
 
     return write
+
+
+def _check_encodable(net, alpha: int, handle: TextIO) -> None:
+    """Raise ``UnicodeEncodeError`` if a label of a table row cannot go to ``handle``.
+
+    Called before the table's first byte, so a failed ``measure`` writes
+    nothing.  A node has rows when it has an alpha-neighbour; the labels
+    are encoded as the handle would encode them, with its error handler.
+    """
+    encoding = getattr(handle, "encoding", None)
+    if not encoding:
+        return
+    errors = getattr(handle, "errors", None) or "strict"
+    for label in net.nodes():
+        try:
+            label.encode(encoding, errors)
+        except UnicodeEncodeError:
+            if net.multilayer_neighborhood(label, alpha):
+                raise
 
 
 class _ValueTexts(dict):
@@ -244,6 +265,8 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def _cmd_generate_planted(args) -> str:
+    from .generators import PlantedParams, generate_planted
+
     try:
         params = PlantedParams(
             sizes=_parse_sizes(args.sizes),
@@ -262,6 +285,8 @@ def _cmd_generate_planted(args) -> str:
 
 
 def _cmd_generate_scenario(args) -> str:
+    from .generators import generate_density_scenario
+
     return write_edge_list(generate_density_scenario(args.seed))
 
 
@@ -274,6 +299,8 @@ def _read_partition(path: str, flag: str) -> list[set[str]]:
 
 
 def _cmd_eval_nmi(args) -> str:
+    from .evaluation import nmi
+
     truth = _read_partition(args.truth, "--truth")
     predicted = _read_partition(args.predicted, "--predicted")
     try:

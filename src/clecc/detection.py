@@ -38,9 +38,9 @@ flattening of the original network.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Union
 
+from ._record import FrozenRecord, Record
 from .errors import EmptyNetworkError, InvalidParamsError
 from .measures import CleccTable, _repair, clecc_table
 from .network import MultiLayerNetwork
@@ -64,71 +64,85 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MinSize:
+class MinSize(FrozenRecord):
     """Accept a component once it has at least k members."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParamsError(f"MinSize needs k >= 1, got {self.k}")
+    def __init__(self, k: int):
+        self._set_fields(k)
+        if k < 1:
+            raise InvalidParamsError(f"MinSize needs k >= 1, got {k}")
 
 
-@dataclass(frozen=True)
-class WeakCommunity:
+class WeakCommunity(FrozenRecord):
     """Summed internal degree strictly exceeds summed external degree."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class StrongCommunity:
+
+class StrongCommunity(FrozenRecord):
     """Every member's internal degree strictly exceeds its external degree."""
+
+    __slots__ = ()
 
 
 ValidityCondition = Union[MinSize, WeakCommunity, StrongCommunity]
 
 
-@dataclass(frozen=True)
-class Lexicographic:
+class Lexicographic(FrozenRecord):
     """Break value ties by the label-wise smallest pair."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class SeededRandom:
+
+class SeededRandom(FrozenRecord):
     """Break value ties uniformly at random, driven by a fixed seed."""
 
-    seed: int
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int):
+        self._set_fields(seed)
 
 
 TiePolicy = Union[Lexicographic, SeededRandom]
 
 
-@dataclass(frozen=True)
-class DetectionConfig:
-    alpha: int = 1
-    validity: ValidityCondition = WeakCommunity()
-    tie_policy: TiePolicy = Lexicographic()
-    log_removals: bool = True
+class DetectionConfig(FrozenRecord):
+    __slots__ = ("alpha", "validity", "tie_policy", "log_removals")
+
+    def __init__(
+        self,
+        alpha: int = 1,
+        validity: ValidityCondition = WeakCommunity(),
+        tie_policy: TiePolicy = Lexicographic(),
+        log_removals: bool = True,
+    ):
+        self._set_fields(alpha, validity, tie_policy, log_removals)
 
 
-@dataclass(frozen=True)
-class RemovalRecord:
+class RemovalRecord(FrozenRecord):
     """One edge-removal step: which pair went, at what value, how many edges."""
 
-    step: int
-    pair: tuple[str, str]
-    clecc: float
-    edges_removed: int
+    __slots__ = ("step", "pair", "clecc", "edges_removed")
+
+    def __init__(self, step: int, pair: tuple[str, str], clecc: float, edges_removed: int):
+        self._set_fields(step, pair, clecc, edges_removed)
 
 
-@dataclass
-class DetectionResult:
+class DetectionResult(Record):
     """Partition of the nodes into groups and singletons, plus the removal log."""
 
-    config: DetectionConfig
-    groups: list[set[str]]
-    singletons: list[str]
-    removals: list[RemovalRecord] = field(default_factory=list)
+    __slots__ = ("config", "groups", "singletons", "removals")
+
+    def __init__(
+        self,
+        config: DetectionConfig,
+        groups: list[set[str]],
+        singletons: list[str],
+        removals: list[RemovalRecord] | None = None,
+    ):
+        self._set_fields(config, groups, singletons, [] if removals is None else removals)
 
     def partition(self) -> list[set[str]]:
         """Groups plus one block per singleton; covers every node exactly once."""

@@ -1,5 +1,24 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CleccError",
+    "SelfLoopError",
+    "DuplicateEdgeError",
+    "UnknownNodeError",
+    "UnknownLayerError",
+    "AlphaOutOfRangeError",
+    "NotAdjacentError",
+    "InconsistentTableError",
+    "TooManyNodesError",
+    "EmptyTableError",
+    "EmptyNetworkError",
+    "InvalidParamsError",
+    "MalformedLineError",
+    "MalformedPartitionError",
+    "DomainMismatchError",
+    "OracleMismatchError",
+]
+
 
 class CleccError(Exception):
     """Base class for every error raised by this library."""

@@ -8,8 +8,8 @@ and lines starting with ``#`` are ignored, and one byte-order mark
 (U+FEFF) at the start of the first line is dropped, as spreadsheet
 "CSV UTF-8" exports write one.  Labels are opaque text and
 are never coerced to numbers, so ``01`` and ``1`` stay distinct nodes.
-There is no quoting: the delimiter and newlines cannot appear inside
-labels.  The parser builds the network through
+There is no quoting: the delimiter, ``\\n`` and ``\\r`` cannot appear
+inside labels.  The parser builds the network through
 ``MultiLayerNetwork.add_edge``, one call per record, so the link-map
 layout is known to ``network`` alone.
 
@@ -20,12 +20,12 @@ equal detection results always serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Callable, Iterable, TextIO
 
+from ._record import Record
 from .detection import DetectionResult, SeededRandom, validity_tag
 from .errors import (
     DuplicateEdgeError,
@@ -58,14 +58,19 @@ def _check_delimiter(delimiter: str) -> None:
         raise InvalidParamsError("the edge-list delimiter must not be empty")
 
 
-@dataclass
-class ParsedEdgeList:
+class ParsedEdgeList(Record):
     """Outcome of reading an edge-list document."""
 
-    network: MultiLayerNetwork
-    records: int
-    had_header: bool
-    duplicates_dropped: int
+    __slots__ = ("network", "records", "had_header", "duplicates_dropped")
+
+    def __init__(
+        self,
+        network: MultiLayerNetwork,
+        records: int,
+        had_header: bool,
+        duplicates_dropped: int,
+    ):
+        self._set_fields(network, records, had_header, duplicates_dropped)
 
 
 def parse_edge_list(
@@ -141,11 +146,11 @@ def write_edge_list(
 
     Re-parsing the output reproduces the exact edge multiset.  Labels
     that are empty, have surrounding whitespace (the parser strips it),
-    or contain the delimiter or a line break, and source labels
-    starting with ``#``, cannot round-trip and are rejected, as is an
-    empty ``delimiter``.  Without ``header``, a first row that spells
-    the header or starts with a byte-order mark would not round-trip,
-    so it is rejected too.
+    or contain the delimiter, ``\\n`` or ``\\r`` (the only line breaks
+    the parser splits on), and source labels starting with ``#``, cannot
+    round-trip and are rejected, as is an empty ``delimiter``.  Without
+    ``header``, a first row that spells the header or starts with a
+    byte-order mark would not round-trip, so it is rejected too.
     """
     _check_delimiter(delimiter)
     for label in list(net.nodes()) + list(net.layers()):
@@ -154,9 +159,9 @@ def write_edge_list(
                 f"label {label!r} is empty or has surrounding whitespace and "
                 "cannot be written as an edge list"
             )
-        if delimiter in label or len(label.splitlines()) > 1:
+        if delimiter in label or "\n" in label or "\r" in label:
             raise ValueError(
-                f"label {label!r} contains the delimiter or a newline and "
+                f"label {label!r} contains the delimiter or a line break and "
                 "cannot be written as an edge list"
             )
     rows = sorted(net.edges())

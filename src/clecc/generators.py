@@ -10,8 +10,8 @@ can be replayed exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from ._record import FrozenRecord
 from .errors import InvalidParamsError
 from .network import MultiLayerNetwork
 
@@ -48,8 +48,7 @@ def demo_network() -> MultiLayerNetwork:
     return net
 
 
-@dataclass(frozen=True)
-class PlantedParams:
+class PlantedParams(FrozenRecord):
     """Planted-partition model: dense blocks, sparse in between.
 
     ``sizes`` gives the community sizes, ``layers`` how many layers to
@@ -58,28 +57,28 @@ class PlantedParams:
     with probability ``p_out`` (reciprocal edges both times).
     """
 
-    sizes: tuple[int, ...]
-    layers: int
-    p_in: float
-    p_out: float
-    seed: int
+    __slots__ = ("sizes", "layers", "p_in", "p_out", "seed")
 
-    def __post_init__(self):
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise InvalidParamsError(f"community sizes must all be >= 1, got {self.sizes}")
-        if self.layers < 1:
-            raise InvalidParamsError(f"layer count must be >= 1, got {self.layers}")
-        for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):
+    def __init__(
+        self, sizes: tuple[int, ...], layers: int, p_in: float, p_out: float, seed: int
+    ):
+        self._set_fields(sizes, layers, p_in, p_out, seed)
+        if not sizes or any(s < 1 for s in sizes):
+            raise InvalidParamsError(f"community sizes must all be >= 1, got {sizes}")
+        if layers < 1:
+            raise InvalidParamsError(f"layer count must be >= 1, got {layers}")
+        for name, p in (("p_in", p_in), ("p_out", p_out)):
             if not 0.0 <= p <= 1.0:
                 raise InvalidParamsError(f"{name} must lie in [0, 1], got {p}")
 
 
-@dataclass(frozen=True)
-class PlantedNetwork:
+class PlantedNetwork(FrozenRecord):
     """A generated network together with its ground-truth communities."""
 
-    network: MultiLayerNetwork
-    truth: dict[str, int]
+    __slots__ = ("network", "truth")
+
+    def __init__(self, network: MultiLayerNetwork, truth: dict[str, int]):
+        self._set_fields(network, truth)
 
     def truth_partition(self) -> list[set[str]]:
         """Ground truth as a list of node-label blocks."""

@@ -102,9 +102,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (
     EmptyTableError,
@@ -113,6 +112,9 @@ from .errors import (
     TooManyNodesError,
 )
 from .network import MultiLayerNetwork
+
+if TYPE_CHECKING:  # imported where used, so importing this module skips it
+    from fractions import Fraction
 
 __all__ = ["CleccTable", "ecc", "clecc", "clecc_table", "update_after_removal"]
 
@@ -214,6 +216,8 @@ class CleccTable:
         key = self._key_from_labels((x, y))
         if key not in self._counts:
             raise KeyError(f"no table entry for pair ({x!r}, {y!r})")
+        from fractions import Fraction
+
         return Fraction(self._value(key)).limit_denominator(self._n)
 
     def items(self) -> Iterator[tuple[tuple[str, str], float]]:
@@ -240,6 +244,8 @@ class CleccTable:
 
     def min_value(self) -> Fraction:
         """Smallest value in the table; EmptyTableError when empty."""
+        from fractions import Fraction
+
         return Fraction(self._value(self._select_min_lex())).limit_denominator(self._n)
 
     def as_dict(self) -> dict[tuple[str, str], float]:

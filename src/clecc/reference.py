@@ -10,8 +10,6 @@ paths behind the ``--oracle`` flag to cross-check field reports.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .detection import (
     DetectionConfig,
     DetectionResult,
@@ -142,6 +140,8 @@ def naive_detect(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionRe
     policy is supported, so the output is directly comparable with
     the optimized detector.
     """
+    from fractions import Fraction  # here, so importing this module skips it
+
     if not isinstance(config.tie_policy, Lexicographic):
         raise ValueError("naive_detect only supports the Lexicographic tie policy")
     if net.node_count == 0:

@@ -668,8 +668,21 @@ def test_unencodable_output_is_a_one_line_error(tmp_path):
 
     measure = run("measure")
     assert measure.returncode == 2
+    assert measure.stdout == b""
     assert measure.stderr.startswith(b"error: output cannot be encoded: ")
     assert measure.stderr.count(b"\n") == 1 and b"Traceback" not in measure.stderr
     # detect's JSON escapes every non-ASCII label
     detect = run("detect")
     assert detect.returncode == 0 and b'"caf\\u00e9"' in detect.stdout
+
+
+def test_unencodable_label_without_rows_is_not_an_error(tmp_path):
+    # at alpha 2 only b and c are multi-layer neighbours, so no row names café
+    path = tmp_path / "cafe.csv"
+    path.write_text("café,b,l1\nb,c,l1\nc,b,l2\n", encoding="utf-8")
+    env = src_env()
+    env["PYTHONIOENCODING"] = "ascii"
+    argv = [sys.executable, "-m", "clecc", "measure", "--input", str(path), "--alpha", "2"]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"x,y,clecc\nb,c,1.0\n"

@@ -269,7 +269,8 @@ class TestWriteEdgeList:
             (("a", "b", "\tl1"), True),
             (("", "b", "l1"), True),
             (("a", "b", ""), True),
-            (("a\u2028z", "b", "l1"), True),
+            (("a\nz", "b", "l1"), True),
+            (("a", "b\rz", "l1"), True),
             (("#a", "b", "l1"), True),
             (("source", "target", "layer"), False),
             (("\ufeffa", "b", "l1"), False),
@@ -279,6 +280,27 @@ class TestWriteEdgeList:
             net.add_edge(*edge)
             with pytest.raises(ValueError):
                 write_edge_list(net, header=header)
+
+    @pytest.mark.parametrize(
+        "brk",
+        ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+    )
+    def test_other_breaks_inside_a_label_round_trip(self, tmp_path, brk):
+        # the parser splits lines only at \n and \r, so these stay in a label
+        from clecc import MultiLayerNetwork
+
+        net = MultiLayerNetwork()
+        net.add_edge(f"a{brk}z", "b", f"l{brk}1")
+        net.add_edge("b", f"a{brk}z", "l2")
+        text = write_edge_list(net)
+        path = tmp_path / "net.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as handle:
+            from_file = parse_edge_list(handle).network
+        for back in (parse_edge_list(text).network, from_file):
+            assert sorted(back.edges()) == sorted(net.edges())
+            assert back.nodes() == net.nodes() and back.layers() == net.layers()
 
     def test_header_like_row_round_trips_with_header(self):
         from clecc import MultiLayerNetwork

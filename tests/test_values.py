@@ -175,6 +175,18 @@ class TestConstructors:
         with pytest.raises(TypeError):
             DetectionConfig(beta=1)
 
+    def test_class_patterns_bind_fields_by_position(self):
+        match CONFIG:
+            case DetectionConfig(alpha, MinSize(k), SeededRandom(seed), logged):
+                assert (alpha, k, seed, logged) == (2, 3, 7, False)
+            case _:
+                pytest.fail("no match")
+        match RECORD:
+            case RemovalRecord(step, pair):
+                assert (step, pair) == (1, ("a", "b"))
+            case _:
+                pytest.fail("no match")
+
     def test_detection_result_removals_default_to_a_fresh_list(self):
         first = DetectionResult(CONFIG, [], [])
         second = DetectionResult(CONFIG, [], [])
