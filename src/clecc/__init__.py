@@ -14,14 +14,16 @@ and deliberately naive reference implementations for cross-checking.
 
 Importing the package loads none of its modules.  Each name below, and
 each of those modules, is imported on first use (PEP 562), so a
-command-line job loads only the modules its command runs.
+command-line job loads only the modules its command runs.  ``_EXPORTS``
+is the one list of public names: ``__all__``, ``dir()`` and the lazy
+lookup are all derived from it.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# the public names each module defines
+# the public names of each module, as its own ``__all__`` lists them
 _EXPORTS = {
     "detection": (
         "DetectionConfig",
@@ -81,61 +83,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "MultiLayerNetwork",
-    "CleccTable",
-    "ecc",
-    "clecc",
-    "clecc_table",
-    "update_after_removal",
-    "MinSize",
-    "WeakCommunity",
-    "StrongCommunity",
-    "ValidityCondition",
-    "Lexicographic",
-    "SeededRandom",
-    "TiePolicy",
-    "DetectionConfig",
-    "DetectionResult",
-    "RemovalRecord",
-    "run_detection",
-    "validate_group",
-    "select_min_pair",
-    "validity_tag",
-    "parse_validity",
-    "demo_network",
-    "PlantedParams",
-    "PlantedNetwork",
-    "generate_planted",
-    "generate_density_scenario",
-    "nmi",
-    "ParsedEdgeList",
-    "parse_edge_list",
-    "write_edge_list",
-    "write_result",
-    "result_to_dict",
-    "partition_to_dict",
-    "partition_from_json",
-    "naive_clecc",
-    "naive_detect",
-    "CleccError",
-    "SelfLoopError",
-    "DuplicateEdgeError",
-    "UnknownNodeError",
-    "UnknownLayerError",
-    "AlphaOutOfRangeError",
-    "NotAdjacentError",
-    "InconsistentTableError",
-    "EmptyTableError",
-    "TooManyNodesError",
-    "EmptyNetworkError",
-    "InvalidParamsError",
-    "MalformedLineError",
-    "MalformedPartitionError",
-    "DomainMismatchError",
-    "OracleMismatchError",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):

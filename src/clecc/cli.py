@@ -5,8 +5,11 @@ Subcommands: ``detect`` (run group extraction on an edge-list file),
 (synthetic networks: ``planted`` and ``scenario4``) and ``eval nmi``
 (compare two partition files).
 
-Exit codes: 0 success, 1 usage error, 2 data error.  Results go to
-standard output or ``--output``; all diagnostics go to standard error.
+Exit codes: 0 success, 1 usage error, 2 data error.  A usage error is
+a bad or missing flag value or a missing subcommand: it raises
+:class:`InvalidParamsError`, like a bad parameter does in the library,
+and prints one ``usage error:`` line.  Results go to standard output or
+``--output``; all diagnostics go to standard error.
 
 The generators and NMI scoring are imported by the handlers that use
 them, so ``detect`` and ``measure`` jobs never load them.
@@ -54,19 +57,15 @@ __all__ = ["main", "cli_main"]
 _MEASURE_BATCH = 1024
 
 
-class UsageError(Exception):
-    """Bad command line; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InvalidParamsError(message)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="clecc", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     detect = sub.add_parser("detect", help="extract multi-layered groups")
     detect.add_argument("--input", required=True, help="edge-list CSV file")
@@ -97,7 +96,7 @@ def _build_parser() -> _Parser:
     measure.set_defaults(handler=_cmd_measure)
 
     generate = sub.add_parser("generate", help="write synthetic networks")
-    gen_sub = generate.add_subparsers(dest="model", metavar="MODEL")
+    gen_sub = generate.add_subparsers(dest="model", metavar="MODEL", required=True)
     planted = gen_sub.add_parser("planted", help="planted-partition benchmark")
     planted.add_argument("--sizes", required=True, help="community sizes, e.g. 16,16")
     planted.add_argument("--layers", required=True, type=int)
@@ -115,7 +114,7 @@ def _build_parser() -> _Parser:
     scenario.set_defaults(handler=_cmd_generate_scenario)
 
     evaluate = sub.add_parser("eval", help="score partitions")
-    eval_sub = evaluate.add_subparsers(dest="metric", metavar="METRIC")
+    eval_sub = evaluate.add_subparsers(dest="metric", metavar="METRIC", required=True)
     nmi_cmd = eval_sub.add_parser("nmi", help="normalized mutual information")
     nmi_cmd.add_argument("--truth", required=True, help="partition JSON file")
     nmi_cmd.add_argument("--predicted", required=True, help="partition JSON file")
@@ -135,7 +134,7 @@ def _add_file_flags(command: argparse.ArgumentParser) -> None:
 def _read_network(args):
     """The network in ``args.input``, read with the --delimiter/--dedupe flags."""
     if not args.delimiter:
-        raise UsageError("--delimiter must not be empty")
+        raise InvalidParamsError("--delimiter must not be empty")
     with open(args.input, "r", encoding="utf-8") as handle:
         parsed = parse_edge_list(handle, delimiter=args.delimiter, dedupe=args.dedupe)
     if parsed.duplicates_dropped:
@@ -149,18 +148,15 @@ def _read_network(args):
 def _cmd_detect(args) -> Callable[[TextIO], None]:
     if args.ties == "random":
         if args.seed is None:
-            raise UsageError("--ties random requires an explicit --seed")
+            raise InvalidParamsError("--ties random requires an explicit --seed")
         policy = SeededRandom(args.seed)
     else:
         if args.seed is not None:
-            raise UsageError("--seed only applies with --ties random")
+            raise InvalidParamsError("--seed only applies with --ties random")
         policy = Lexicographic()
-    try:
-        validity = parse_validity(args.validity)
-    except InvalidParamsError as exc:
-        raise UsageError(str(exc)) from None
+    validity = parse_validity(args.validity)
     if args.oracle and args.ties != "lex":
-        raise UsageError("--oracle needs --ties lex (random runs are not comparable)")
+        raise InvalidParamsError("--oracle needs --ties lex (random runs are not comparable)")
     config = DetectionConfig(
         alpha=args.alpha,
         validity=validity,
@@ -187,9 +183,9 @@ def _cmd_detect(args) -> Callable[[TextIO], None]:
 def _parse_pair(text: str) -> tuple[str, str]:
     parts = text.split(",")
     if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise UsageError("--pair expects two comma-separated node labels")
+        raise InvalidParamsError("--pair expects two comma-separated node labels")
     if parts[0] == parts[1]:
-        raise UsageError(f"--pair must name two distinct nodes, got {parts[0]!r} twice")
+        raise InvalidParamsError(f"--pair must name two distinct nodes, got {parts[0]!r} twice")
     return parts[0], parts[1]
 
 
@@ -261,22 +257,19 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"--sizes expects comma-separated integers, got {text!r}")
+        raise InvalidParamsError(f"--sizes expects comma-separated integers, got {text!r}")
 
 
 def _cmd_generate_planted(args) -> str:
     from .generators import PlantedParams, generate_planted
 
-    try:
-        params = PlantedParams(
-            sizes=_parse_sizes(args.sizes),
-            layers=args.layers,
-            p_in=args.p_in,
-            p_out=args.p_out,
-            seed=args.seed,
-        )
-    except InvalidParamsError as exc:
-        raise UsageError(str(exc)) from None
+    params = PlantedParams(
+        sizes=_parse_sizes(args.sizes),
+        layers=args.layers,
+        p_in=args.p_in,
+        p_out=args.p_out,
+        seed=args.seed,
+    )
     planted = generate_planted(params)
     if args.truth:
         truth_doc = json.dumps(partition_to_dict(planted.truth_partition()), indent=2)
@@ -324,13 +317,8 @@ def _emit(body: str | Callable[[TextIO], None], handle: TextIO) -> None:
 
 def cli_main(argv: list[str]) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "handler", None) is None:
-            print("usage error: missing command", file=sys.stderr)
-            print(parser.format_usage(), end="", file=sys.stderr)
-            return 1
+        args = _build_parser().parse_args(argv)
         body = args.handler(args)
         output = getattr(args, "output", None)
         if output:
@@ -338,16 +326,13 @@ def cli_main(argv: list[str]) -> int:
                 _emit(body, handle)
         else:
             _emit(body, sys.stdout)
-    except UsageError as exc:
+    except InvalidParamsError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help / --version
         code = exc.code
         return 0 if code is None else int(code)
-    except CleccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CleccError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

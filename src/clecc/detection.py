@@ -38,7 +38,8 @@ flattening of the original network.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Union
+from functools import partial
+from typing import Callable, Iterable, Union
 
 from ._record import FrozenRecord, Record
 from .errors import EmptyNetworkError, InvalidParamsError
@@ -230,20 +231,17 @@ def select_min_pair(
     pass ``rng`` to continue an existing sequence, otherwise a fresh
     generator is seeded from the policy.
     """
-    return table._labels(_select_min_key(table, policy, rng))
+    return table._labels(_selector(table, policy, rng)())
 
 
-def _select_min_key(
-    table: CleccTable,
-    policy: TiePolicy,
-    rng: random.Random | None,
-) -> int:
+def _selector(
+    table: CleccTable, policy: TiePolicy, rng: random.Random | None = None
+) -> Callable[[], int]:
+    """A function giving the key of a minimum pair of ``table`` under ``policy``."""
     if isinstance(policy, Lexicographic):
-        return table._select_min_lex()
+        return table._select_min_lex
     if isinstance(policy, SeededRandom):
-        if rng is None:
-            rng = random.Random(policy.seed)
-        return table._select_min_random(rng)
+        return partial(table._select_min_random, rng or random.Random(policy.seed))
     raise TypeError(f"not a tie policy: {policy!r}")
 
 
@@ -348,12 +346,8 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
     n = net.node_count
     if n == 0:
         raise EmptyNetworkError("detection needs at least one node")
-    if isinstance(config.tie_policy, SeededRandom):
-        rng = random.Random(config.tie_policy.seed)
-    else:
-        rng = None
-
     table = clecc_table(net, config.alpha)
+    select = _selector(table, config.tie_policy)
     adj = table._mn
     forest = _SpanningForest(adj)
     labels, links = net._node_labels, net._links
@@ -373,7 +367,7 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
 
     while len(table):
         step += 1
-        key = _select_min_key(table, config.tie_policy, rng)
+        key = select()
         i, j = table._pair(key)
         if config.log_removals:
             value, edges_removed = table._value(key), net._pair_edge_count(i, j)

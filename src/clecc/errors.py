@@ -24,20 +24,20 @@ class CleccError(Exception):
     """Base class for every error raised by this library."""
 
 
-class SelfLoopError(CleccError):
+class _LineError(CleccError):
+    """An error an edge-list line can cause; ``line`` is its number, if known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
+
+
+class SelfLoopError(_LineError):
     """An edge would connect a node to itself."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
 
-
-class DuplicateEdgeError(CleccError):
+class DuplicateEdgeError(_LineError):
     """The ordered (source, target, layer) triple is already present."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
 
 
 class UnknownNodeError(CleccError):
@@ -73,15 +73,14 @@ class EmptyNetworkError(CleccError):
 
 
 class InvalidParamsError(CleccError):
-    """A parameter (of a generator, condition or parser) violates its constraints."""
+    """A parameter (of a generator, condition or parser) violates its constraints.
+
+    The command line reports it as a usage error (exit code 1).
+    """
 
 
-class MalformedLineError(CleccError):
+class MalformedLineError(_LineError):
     """An edge-list line does not have exactly three non-empty fields."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
 
 
 class MalformedPartitionError(CleccError, ValueError):

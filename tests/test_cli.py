@@ -434,7 +434,7 @@ def test_generate_scenario4(tmp_path):
     code = cli_main(["generate", "scenario4", "--seed", "7", "--output", str(dest)])
     assert code == 0
     # 110k edge lines plus header
-    assert sum(1 for _ in dest.open()) == 110_001
+    assert dest.read_text(encoding="utf-8").count("\n") == 110_001
 
 
 def test_eval_nmi(tmp_path, capsys):
@@ -601,6 +601,19 @@ def test_missing_command(capsys):
     out = capsys.readouterr()
     assert code == 1
     assert out.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [([], "COMMAND"), (["generate"], "MODEL"), (["eval"], "METRIC")],
+    ids=["top", "generate", "eval"],
+)
+def test_missing_subcommand_is_one_usage_line(argv, name, capsys):
+    code = cli_main(argv)
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == f"usage error: the following arguments are required: {name}\n"
 
 
 def test_help_exits_zero(capsys):

@@ -8,9 +8,11 @@ pulls in ``decimal``), the generators or NMI scoring.
 """
 
 import ast
+import builtins
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +127,76 @@ def test_cli_job_stays_within_budget(bare, command, tmp_path):
     added = loaded_modules(code) - bare
     assert {"clecc.cli", "clecc.formats", "clecc.measures"} <= added
     assert sorted(set(NOT_LOADED) & added) == []
+
+
+SOURCES = Path(clecc.__file__).parent
+
+BUILTIN_EXCEPTIONS = {
+    name
+    for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def exception_classes(tree, known=frozenset()):
+    """``(line, name)`` of each class in ``tree`` that derives from an exception.
+
+    A base counts when it is a builtin exception, one of ``known``, a
+    class of the same tree that counts, or an attribute named like an
+    exception (``argparse.ArgumentError``).
+    """
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found = {}
+    grew = True
+    while grew:
+        names = BUILTIN_EXCEPTIONS | set(known) | {node.name for node in found.values()}
+        grew = False
+        for node in classes:
+            if id(node) not in found and any(
+                (isinstance(base, ast.Name) and base.id in names)
+                or (
+                    isinstance(base, ast.Attribute)
+                    and base.attr.endswith(("Error", "Exception", "Warning"))
+                )
+                for base in node.bases
+            ):
+                found[id(node)] = node
+                grew = True
+    return sorted((node.lineno, node.name) for node in found.values())
+
+
+class TestErrorOwnership:
+    """Every exception type of the package is defined in errors.py."""
+
+    def test_only_errors_defines_exception_classes(self):
+        paths = sorted(SOURCES.glob("*.py"))
+        assert {"cli.py", "errors.py"} <= {path.name for path in paths}
+        defined = [
+            f"{path.name}:{line} {name}"
+            for path in paths
+            if path.name != "errors.py"
+            for line, name in exception_classes(
+                ast.parse(path.read_text(encoding="utf-8")), clecc.errors.__all__
+            )
+        ]
+        assert defined == []
+
+    def test_the_check_finds_every_error_type(self):
+        tree = ast.parse((SOURCES / "errors.py").read_text(encoding="utf-8"))
+        assert set(clecc.errors.__all__) <= {name for _, name in exception_classes(tree)}
+
+    def test_the_check_sees_every_kind_of_base(self):
+        code = (
+            "class A(Exception): pass\n"
+            "class B(A): pass\n"
+            "class C(CleccError, dict): pass\n"
+            "class D(argparse.ArgumentError): pass\n"
+            "class E: pass\n"
+            "class F(dict): pass\n"
+            "def f():\n"
+            "    class G(ValueError): pass\n"
+            "class H(I): pass\n"
+            "class I(KeyError): pass\n"
+        )
+        found = exception_classes(ast.parse(code), {"CleccError"})
+        assert found == [(1, "A"), (2, "B"), (3, "C"), (4, "D"), (8, "G"), (9, "H"), (10, "I")]
