@@ -12,7 +12,8 @@ Two measures live here:
   multi-layered neighbourhood at the chosen alpha.
 
 ``clecc_table`` evaluates the measure for every candidate pair (the
-pairs connected on at least alpha layers) and ``update_after_removal``
+pairs connected on at least alpha layers), ``clecc_rows`` streams the
+same values without keeping them, and ``update_after_removal``
 repairs such a table exactly after all edges of one pair were deleted:
 only entries containing one of the two endpoints can change, because a
 pair's value depends solely on the neighbourhoods of its members.
@@ -30,6 +31,11 @@ is nearer its fraction than any other with denominator <= N.  So
 ``CleccTable.value`` and ``min_value`` return the exact
 :class:`fractions.Fraction` via ``limit_denominator(n)``, and ``items``
 yields the derived floats in sorted pair order, each pair label-sorted.
+``clecc_rows`` derives each float from the same count by the same
+formula and checks the same limit before its first row, so the argument
+covers its values too; it walks the nodes by label rank, as ``items``
+does, and at alpha 1 reads the link maps' key views as the
+neighbourhoods instead of copying them.
 
 ``clecc_table`` counts common neighbours with bitmasks where a bitmask
 is no larger than the set it sits beside.  A node with at least n / 256
@@ -103,7 +109,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, AbstractSet, Iterator
 
 from .errors import (
     EmptyTableError,
@@ -137,7 +143,7 @@ def _candidate_value(inter: int, size_a: int, size_b: int) -> float:
     return inter / den if den else 1.0
 
 
-def _bitmasks(mn: list[set[int]]) -> dict[int, int]:
+def _bitmasks(mn: list[AbstractSet[int]]) -> dict[int, int]:
     """Neighbour bitmask of each node with at least n / 256 neighbours."""
     n = len(mn)
     size = (n + 7) // 8
@@ -149,6 +155,25 @@ def _bitmasks(mn: list[set[int]]) -> dict[int, int]:
                 buf[j >> 3] |= 1 << (j & 7)
             masks[i] = int.from_bytes(buf, "little")
     return masks
+
+
+def _label_ranks(label_of: list[str]) -> tuple[list[int], list[int]]:
+    """Node indices in label order, and each node's rank in it (the inverse)."""
+    by_rank = sorted(range(len(label_of)), key=label_of.__getitem__)
+    return by_rank, sorted(range(len(label_of)), key=by_rank.__getitem__)
+
+
+def _rank_walk(
+    mn: list[AbstractSet[int]], rank: list[int], by_rank: list[int]
+) -> Iterator[tuple[int, list[int]]]:
+    """Each node in label-rank order, with its higher-rank neighbours by rank.
+
+    A pair keyed over label ranks sorts as its label pair does, so the
+    pairs (node, neighbour) come in table key order: label-sorted pairs,
+    in sorted order.
+    """
+    for lo, i in enumerate(by_rank):
+        yield i, [by_rank[hi] for hi in sorted(rank[j] for j in mn[i] if rank[j] > lo)]
 
 
 def _check_float_exact(n: int) -> None:
@@ -189,8 +214,7 @@ class CleccTable:
         self._index_of = index_of
         self._label_of = label_of
         self._n = n
-        self._by_rank = sorted(range(n), key=label_of.__getitem__)
-        self._rank = sorted(range(n), key=self._by_rank.__getitem__)  # inverse
+        self._by_rank, self._rank = _label_ranks(label_of)
         self._mn = mn
         self._links = links
         self._counts: dict[int, int] = {}
@@ -223,21 +247,20 @@ class CleccTable:
     def items(self) -> Iterator[tuple[tuple[str, str], float]]:
         """Yield ((label_a, label_b), value), each pair label-sorted, in pair order.
 
-        Keys over label ranks sort as their label pairs do, so this is
-        ``sorted`` order on the pairs.  One walk over the sorted keys
-        reads labels and neighbourhood sizes from arrays indexed by
-        rank, taken when the walk starts, and derives each value as
-        ``_candidate_value`` does.
+        ``clecc_rows``'s rank walk, over the table's own adjacency.  Its
+        pairs hold every stored key; the pairs of a frozen group, whose
+        keys left the table while the adjacency kept them, are skipped.
+        Each value comes from the stored count as ``_candidate_value``
+        derives it.
         """
-        n, counts = self._n, self._counts
-        label_of, mn = self._label_of, self._mn
-        labels = [label_of[i] for i in self._by_rank]
-        sizes = [len(mn[i]) for i in self._by_rank]
-        for key in sorted(counts):
-            lo, hi = divmod(key, n)
-            c = counts[key]
-            den = sizes[lo] + sizes[hi] - c - 2
-            yield (labels[lo], labels[hi]), c / den if den else 1.0
+        n, counts, mn, rank = self._n, self._counts, self._mn, self._rank
+        labels = self._label_of
+        for i, higher in _rank_walk(mn, rank, self._by_rank):
+            label_i, size_i, base = labels[i], len(mn[i]), rank[i] * n
+            for j in higher:
+                c = counts.get(base + rank[j])
+                if c is not None:
+                    yield (label_i, labels[j]), _candidate_value(c, size_i, len(mn[j]))
 
     def pairs(self) -> list[tuple[str, str]]:
         return [self._labels(key) for key in sorted(self._counts)]
@@ -447,6 +470,41 @@ def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
                 else:
                     counts[key(i, j)] = (bits_i & bits[j]).bit_count()
     return table
+
+
+def clecc_rows(
+    net: MultiLayerNetwork, alpha: int
+) -> Iterator[tuple[tuple[str, str], float]]:
+    """The rows of ``clecc_table(net, alpha).items()``, built without a table.
+
+    Same pairs, values and order; no count is stored and, at alpha 1,
+    no adjacency is copied: the link maps' key views serve as the
+    neighbourhoods.  Common neighbours are counted as ``clecc_table``
+    counts them.  The alpha range and the node limit for exact floats
+    are checked here, before the first row is asked for.
+    """
+    net._check_alpha(alpha)
+    _check_float_exact(net.node_count)
+    return _rows(net, alpha)
+
+
+def _rows(net: MultiLayerNetwork, alpha: int) -> Iterator[tuple[tuple[str, str], float]]:
+    labels = net._node_labels
+    if alpha == 1:  # every linked pair is a candidate
+        mn = [links.keys() for links in net._links]
+    else:
+        mn = net._alpha_adjacency(alpha)
+    by_rank, rank = _label_ranks(labels)
+    bits = _bitmasks(mn)
+    for i, higher in _rank_walk(mn, rank, by_rank):
+        a, label_i, bits_i = mn[i], labels[i], bits.get(i)
+        size_a = len(a)
+        for j in higher:
+            if bits_i is None or j not in bits:
+                c = len(a & mn[j])
+            else:
+                c = (bits_i & bits[j]).bit_count()
+            yield (label_i, labels[j]), _candidate_value(c, size_a, len(mn[j]))
 
 
 def update_after_removal(

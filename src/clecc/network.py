@@ -276,5 +276,25 @@ class MultiLayerNetwork:
         return {j for j, m in links.items() if ((m | m >> 1) & even).bit_count() >= alpha}
 
     def _alpha_adjacency(self, alpha: int) -> list[set[int]]:
-        """Fresh undirected index adjacency of the alpha-threshold graph."""
-        return [self._mn_idx(i, alpha) for i in range(len(self._links))]
+        """Fresh undirected index adjacency of the alpha-threshold graph.
+
+        Each set is built key by key, as ``_mn_idx`` builds it; at alpha
+        >= 2 the layer count is taken once per distinct link mask.
+        """
+        if alpha == 1:
+            return [self._mn_idx(i, 1) for i in range(len(self._links))]
+        linked = _AlphaLinked(self._even_bits, alpha)
+        return [{j for j, m in links.items() if linked[m]} for links in self._links]
+
+
+class _AlphaLinked(dict):
+    """Whether a link mask joins its pair on at least ``alpha`` layers, per mask."""
+
+    def __init__(self, even_bits: int, alpha: int):
+        super().__init__()
+        self._even = even_bits
+        self._alpha = alpha
+
+    def __missing__(self, m: int) -> bool:
+        linked = self[m] = ((m | m >> 1) & self._even).bit_count() >= self._alpha
+        return linked

@@ -9,11 +9,13 @@ from collections import Counter
 import pytest
 
 from clecc import (
+    CleccTable,
     DetectionConfig,
     DetectionResult,
     MinSize,
     PlantedParams,
     cli,
+    clecc_table,
     generate_planted,
     parse_edge_list,
     run_detection,
@@ -86,6 +88,18 @@ def test_detect_alpha_out_of_range(tmp_path, capsys):
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""  # no partial results on stdout
+    assert "[1, 3]" in out.err
+
+
+def test_measure_alpha_out_of_range(tmp_path, capsys):
+    # the range is checked before the writer starts, so not even the
+    # header reaches stdout
+    path = tmp_path / "three_layer.csv"
+    path.write_text("a,b,l1\na,b,l2\na,b,l3\n")
+    code = cli_main(["measure", "--input", str(path), "--alpha", "5"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
     assert "[1, 3]" in out.err
 
 
@@ -250,6 +264,18 @@ def test_measure_table(toy2_csv, capsys):
     assert lines[1:] == ["u,x,0.0", "x,y,0.0"]
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+def test_measure_table_builds_no_table(toy2_csv, capsys, monkeypatch, oracle):
+    def refused(self, *args):
+        raise AssertionError("measure built a CleccTable")
+
+    monkeypatch.setattr(CleccTable, "__init__", refused)
+    code = cli_main(["measure", "--input", toy2_csv, "--alpha", "1", *oracle])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == "x,y,clecc\nu,x,1.0\nu,y,1.0\nx,y,1.0\n"
+
+
 def test_measure_oracle(toy2_csv, capsys):
     code = cli_main(["measure", "--input", toy2_csv, "--alpha", "2", "--oracle"])
     assert code == 0
@@ -289,6 +315,8 @@ def test_traced_cli_names_are_called(barbell_csv, capsys, monkeypatch):
     # the benchmark's traced pass times these four clecc.cli bindings by
     # name; a command that stopped calling one would read 0 s there
     names = ("parse_edge_list", "clecc_table", "run_detection", "write_result")
+    # measure no longer calls clecc_table, but the traced pass still wraps it
+    assert cli.clecc_table is clecc_table
     calls = Counter()
 
     def counted(name, fn):
@@ -304,7 +332,7 @@ def test_traced_cli_names_are_called(barbell_csv, capsys, monkeypatch):
     assert calls == {"parse_edge_list": 1, "run_detection": 1, "write_result": 1}
     calls.clear()
     assert cli_main(["measure", "--input", barbell_csv, "--alpha", "1"]) == 0
-    assert calls == {"parse_edge_list": 1, "clecc_table": 1}
+    assert calls == {"parse_edge_list": 1}  # the rows come from no table
     # the traced pass's probe takes the indented text back positionally
     result = run_detection(parse_edge_list(BARBELL_CSV).network, DetectionConfig(alpha=1))
     assert json.loads(write_result(result, True))["removals"]
@@ -382,7 +410,7 @@ def test_internal_value_error_is_not_a_data_error(toy2_csv, monkeypatch):
     def broken(net, alpha):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(cli, "clecc_table", broken)
+    monkeypatch.setattr(cli, "clecc_rows", broken)
     with pytest.raises(ValueError, match="internal bug"):
         cli_main(["measure", "--input", toy2_csv, "--alpha", "1"])
 

@@ -2,6 +2,7 @@
 
 import heapq
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -31,7 +32,7 @@ from clecc import (
     update_after_removal,
 )
 from clecc import measures
-from clecc.measures import _bitmasks, _check_float_exact
+from clecc.measures import _bitmasks, _check_float_exact, clecc_rows
 from clecc.reference import naive_clecc
 from conftest import (
     barbell,
@@ -294,6 +295,108 @@ class TestCountingBranches:
             net.remove_pair_edges(*pair)
             update_after_removal(table, net, *pair)
             assert table.as_dict() == clecc_table(net, alpha).as_dict()
+
+
+def sparse_network(rng: random.Random, n=1100, layers=3) -> MultiLayerNetwork:
+    """Seeded n-node network in which no node gets a neighbour bitmask.
+
+    On layer l1, cliques of 1 to 4 nodes are joined by a random matching
+    of some nodes, so every node has at most 4 < n / 256 neighbours and
+    the cliques close triangles.  Each later layer keeps a random part
+    of the previous one's pairs, so at higher alphas more nodes have no
+    alpha-neighbour.
+    """
+    net = MultiLayerNetwork()
+    labels = [f"s{i}" for i in range(n)]
+    for label in labels:
+        net.add_node(label)
+    order = rng.sample(labels, n)
+    pairs, start = set(), 0
+    while start < n:
+        size = rng.randint(1, 4)
+        block = order[start:start + size]
+        pairs |= {(a, b) for a in block for b in block if a < b}
+        start += size
+    matched = rng.sample(labels, n // 2)
+    pairs |= {tuple(sorted(matched[k:k + 2])) for k in range(0, len(matched) - 1, 2)}
+    pairs = sorted(pairs)
+    for l in range(layers):
+        for a, b in pairs:
+            net.add_edge(a, b, f"l{l + 1}")
+            if rng.random() < 0.5:
+                net.add_edge(b, a, f"l{l + 1}")
+        pairs = [pair for pair in pairs if rng.random() < 0.7]
+    return net
+
+
+class TestRows:
+    """``clecc_rows`` yields ``clecc_table(net, alpha).items()`` without a table."""
+
+    @staticmethod
+    def assert_rows_equal_table(net):
+        for alpha in range(1, net.layer_count + 1):
+            rows = clecc_rows(net, alpha)
+            assert iter(rows) is rows
+            assert list(rows) == list(clecc_table(net, alpha).items())
+
+    def test_dense_inputs_take_the_bitmask_branch(self):
+        rng = random.Random(51)
+        for seed in range(20):
+            net = shuffled_labels(random_network(rng, max_nodes=32, max_layers=4), seed)
+            self.assert_rows_equal_table(net)
+        assert _bitmasks(net._alpha_adjacency(1))
+
+    def test_sparse_inputs_take_the_set_branch(self):
+        rng = random.Random(52)
+        for seed in range(3):
+            net = shuffled_labels(sparse_network(rng), seed)
+            assert _bitmasks(net._alpha_adjacency(1)) == {}
+            self.assert_rows_equal_table(net)
+
+    def test_mixed_input_takes_both_branches(self):
+        for seed in range(2):
+            self.assert_rows_equal_table(shuffled_labels(hub_path(), seed))
+
+    def test_nodes_without_alpha_neighbours(self):
+        net = toy2()
+        net.add_node("lone")
+        net.add_edge("lone", "y", "l3")
+        for alpha in (2, 3):
+            assert any(not net.multilayer_neighborhood(x, alpha) for x in net.nodes())
+        self.assert_rows_equal_table(net)
+        assert list(clecc_rows(net, 3)) == []
+
+    def test_checks_run_before_the_first_row(self, monkeypatch):
+        net = triangle()
+        with pytest.raises(AlphaOutOfRangeError):
+            clecc_rows(net, 2)
+
+        def too_many(n):
+            raise TooManyNodesError(f"{n} nodes")
+
+        monkeypatch.setattr(measures, "_check_float_exact", too_many)
+        with pytest.raises(TooManyNodesError):
+            clecc_rows(net, 1)
+
+    def test_peak_memory_is_a_fraction_of_the_tables(self):
+        # the stream keeps no count per pair and, at alpha 1, no copy of
+        # the adjacency; at 12 x 100 it peaked near 0.4 MiB against 3.9
+        net = generate_planted(
+            PlantedParams(sizes=(100,) * 12, layers=2, p_in=0.1, p_out=0.002, seed=1)
+        ).network
+
+        def traced_peak(walk):
+            tracemalloc.start()
+            try:
+                for _ in walk():
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stream = traced_peak(lambda: clecc_rows(net, 1))
+        table = traced_peak(lambda: clecc_table(net, 1).items())
+        assert stream * 4 < table
 
 
 def layered_path(labels, layers=3):

@@ -156,6 +156,24 @@ class TestFlattenAlpha:
                 for x in net.nodes():
                     assert flat[x] == net.multilayer_neighborhood(x, alpha)
 
+    def test_adjacency_lists_each_neighbourhood_in_query_order(self):
+        # each set is built key by key, as a single-node query builds it:
+        # the sets' order feeds SeededRandom draws.  Small ints iterate in
+        # index order in a table wider than n, so the networks are sparse
+        rng = random.Random(6)
+        for _ in range(5):
+            net = MultiLayerNetwork()
+            for _ in range(2000):
+                a, b = rng.sample(range(400), 2)
+                for layer in rng.sample(["l1", "l2", "l3", "l4"], rng.randint(1, 4)):
+                    if not net.has_edge(f"n{a}", f"n{b}", layer):
+                        net.add_edge(f"n{a}", f"n{b}", layer)
+            for alpha in range(1, net.layer_count + 1):
+                adjacency = net._alpha_adjacency(alpha)
+                assert len(adjacency) == net.node_count
+                for i, mn in enumerate(adjacency):
+                    assert list(mn) == list(net._mn_idx(i, alpha))
+
 
 class TestRemovePairEdges:
     def test_reciprocal_two_layers(self):
