@@ -115,9 +115,11 @@ def parse_edge_list(
                 had_header = True
                 continue
         if not (src and dst and layer):
+            # a line read from a file keeps its terminator; quote it without
+            text = raw.removesuffix("\n").removesuffix("\r")
             raise MalformedLineError(
                 f"line {line_no}: expected 3 non-empty fields separated by "
-                f"{delimiter!r}, got {raw!r}",
+                f"{delimiter!r}, got {text!r}",
                 line=line_no,
             )
         if src == dst:

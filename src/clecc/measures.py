@@ -74,12 +74,28 @@ move one way (Minoux 1978; Leskovec et al. 2007, CELF).  Deleted keys
 leave their items behind until they surface; no key returns.
 ``min_value`` reads the same heap.
 
+Each item is one int, ``floor(bound * 2**53) * n**2 + key``, decoded
+with ``divmod``; that is exact.  ``_scaled_value`` takes the floor of a
+value's exact fraction c / den scaled by 2**53, on ints, as
+``(c << 53) // den``.  Scaling by 2**53 is exact.  Distinct values
+differ by more than 2**-52 (above), so their scaled values differ by
+more than 2 and their floors differ, in the same order; equal values
+give equal floors.  So comparing floors compares values, and a key is
+below n**2, so the ints order as (bound, key) pairs do: ties of value
+still fall to the smallest key.  An int of three or four 30-bit digits
+replaces a tuple, a float and its pointers.
+
 A ``SeededRandom`` draw picks by position among the keys at the
 minimum, listed in the order they took that value since the first
 random draw: first as the counts were built, then as repairs visited
 them, the smaller endpoint first and each endpoint's entries in the
-order a rebuilt ``MN(e)`` lists them (``_rebuilt``: a fresh query's
-order).  That order needs no index of keys by value:
+order a fresh query lists ``MN(e)`` (``_rebuilt``).  That order lives
+in fresh queries and in the counts' insertion order, never in the
+layout of the table's sets, which are sized in one step and iterate in
+another order.  ``clecc_table`` inserts each node's pairs as its query
+set lists them, and the counts keep that build order: a deletion keeps
+the order of the rest and no key is inserted again.  The order needs
+no index of keys by value:
 
 * A key at value 0 has c = 0 and stays at 0 when touched, unless it is
   left as an isolated dyad (value 1).  ``_zeros`` lists these keys: the
@@ -95,8 +111,11 @@ order).  That order needs no index of keys by value:
   node it repaired, the other node's place in that node's rebuilt
   set).  The set has not changed since, so it is rebuilt only when a
   draw needs it.  A key that no counted repair touched keeps its build
-  place: its smaller node, then the other's place in that node's
-  ``MN``, whose order discards keep.
+  place: its smaller node, then the other's place in that node's build
+  walk.  While no repair came before the first draw, as in every
+  detector run, that node's set and link map are as built, so a
+  rebuilt set lists the walk.  Otherwise the first draw copies each
+  node's build order out of the counts, once (``_build_order``).
 
 A draw at a positive minimum m reads the live keys at m off the lower
 bound heap (see ``_min_ties``), sorts them by place and picks by
@@ -109,7 +128,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import islice
-from typing import TYPE_CHECKING, AbstractSet, Iterator
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator
 
 from .errors import (
     EmptyTableError,
@@ -141,6 +160,12 @@ def _candidate_value(inter: int, size_a: int, size_b: int) -> float:
     """
     den = size_a + size_b - inter - 2
     return inter / den if den else 1.0
+
+
+def _scaled_value(inter: int, size_a: int, size_b: int) -> int:
+    """floor(value * 2**53) of ``_candidate_value``'s exact value, on ints."""
+    den = size_a + size_b - inter - 2
+    return (inter << 53) // den if den else 1 << 53
 
 
 def _bitmasks(mn: list[AbstractSet[int]]) -> dict[int, int]:
@@ -193,11 +218,12 @@ class CleccTable:
     a lazy heap of lower bounds serves every selection at a positive
     value and ``min_value``; random selection also keeps the value-0
     pairs in order and each node's last repair (see the module
-    docstring).  It reads its network's link maps for the order of a
-    rebuilt neighbourhood.  A pair is
-    keyed by one int, ``lo * n + hi`` with ``lo < hi`` the ranks of its
-    nodes in label order, so keys sort as label pairs do.  The node set
-    is fixed when the table is built; the public surface speaks labels.
+    docstring).  The sets of ``_mn`` carry membership only; the order
+    of a rebuilt neighbourhood comes from its network's link maps.  A
+    pair is keyed by one int, ``lo * n + hi`` with ``lo < hi`` the ranks
+    of its nodes in label order, so keys sort as label pairs do.  The
+    node set is fixed when the table is built; the public surface
+    speaks labels.
     """
 
     def __init__(
@@ -218,15 +244,19 @@ class CleccTable:
         self._mn = mn
         self._links = links
         self._counts: dict[int, int] = {}
-        # lazy min-heap of (lower bound on value, key); built on first
-        # selection at a positive value or min_value
-        self._bounds: list[tuple[float, int]] | None = None
+        # lazy min-heap of floor(lower bound on value * 2**53) * n**2 + key;
+        # built on first selection at a positive value or min_value
+        self._bounds: list[int] | None = None
         # built on first random selection: the keys at value 0 in the
         # order they took it, each node's last repair since then (0 if
         # none), and the count of those repairs
         self._zeros: dict[int, None] | None = None
         self._touched: list[int] = []
         self._repairs = 0
+        # whether a repair ran before the first random draw; if one did,
+        # that draw copies each node's build order out of the counts
+        self._early_repair = False
+        self._build_order: list[list[int]] | None = None
 
     # -- public, label-based ------------------------------------------
 
@@ -296,13 +326,14 @@ class CleccTable:
         j = self._index_of.get(pair[1], self._n)
         return self._key(i, j) if max(i, j) < self._n else None
 
-    def _value(self, key: int) -> float:
-        """Value of a stored pair, from its count and the current sizes."""
+    def _value(self, key: int, of=_candidate_value) -> float:
+        """Value of a stored pair, from its count and the current sizes.
+
+        ``of=_scaled_value`` gives it as the lex heap holds it.
+        """
         lo, hi = divmod(key, self._n)
         mn, by_rank = self._mn, self._by_rank
-        return _candidate_value(
-            self._counts[key], len(mn[by_rank[lo]]), len(mn[by_rank[hi]])
-        )
+        return of(self._counts[key], len(mn[by_rank[lo]]), len(mn[by_rank[hi]]))
 
     def _delete(self, key: int) -> None:
         """Drop a key; its bounds leave the lex heap when they surface."""
@@ -311,9 +342,24 @@ class CleccTable:
         del self._counts[key]
 
     def _rebuilt(self, i: int) -> set[int]:
-        """``MN(i)`` built afresh from the link map, as a new query builds it."""
+        """``MN(i)`` built afresh from the link map, in a new query's order.
+
+        Built key by key: ``_mn[i]`` holds the members, but was sized in
+        one step and iterates in another order (see
+        ``MultiLayerNetwork._query_sets``).
+        """
         mn_i = self._mn[i]
         return {z for z in self._links[i] if z in mn_i}
+
+    def _listed(self, t: int, f: int) -> Iterable[int]:
+        """Neighbours of f, in the order a draw lists f's keys last touched at repair t.
+
+        A rebuilt ``MN(f)``, except for untouched keys (t = 0) after a
+        repair that came before the first draw (see the module docstring).
+        """
+        if t or self._build_order is None:
+            return self._rebuilt(f)
+        return self._build_order[f]
 
     def _select_min_lex(self) -> int:
         """Key of the smallest (value, key), from the lazy lower-bound heap.
@@ -322,20 +368,21 @@ class CleccTable:
         key's current value is raised to it.  The first top that is
         exact is the answer (see the module docstring).
         """
-        heap = self._bounds
+        heap, value, nn = self._bounds, self._value, self._n * self._n
         if heap is None:
-            heap = self._bounds = [(self._value(key), key) for key in self._counts]
+            heap = [value(key, _scaled_value) * nn + key for key in self._counts]
             heapq.heapify(heap)
+            self._bounds = heap
         counts = self._counts
         while heap:
-            bound, key = heap[0]
+            bound, key = divmod(heap[0], nn)
             if key not in counts:
                 heapq.heappop(heap)
                 continue
-            value = self._value(key)
-            if value == bound:
+            scaled = value(key, _scaled_value)
+            if scaled == bound:
                 return key
-            heapq.heapreplace(heap, (value, key))
+            heapq.heapreplace(heap, scaled * nn + key)
         raise EmptyTableError("the table has no entries")
 
     def _select_min_random(self, rng: random.Random) -> int:
@@ -352,6 +399,15 @@ class CleccTable:
                 key: None for key, c in self._counts.items() if not c and not value(key)
             }
             self._touched = [0] * self._n
+            if self._early_repair:
+                # the counts keep the build walk's order, each pair under
+                # its smaller node; a rebuilt MN(f) of a network that lost
+                # pairs can iterate in another
+                order = self._build_order = [[] for _ in range(self._n)]
+                pair = self._pair
+                for key in self._counts:
+                    f, z = pair(key)
+                    order[f].append(z)
         if zeros:
             return next(islice(zeros, rng.randrange(len(zeros)), None))
         ties = self._min_ties()
@@ -374,11 +430,8 @@ class CleccTable:
                 break
             pick -= len(members)
         if len(members) > 1:
-            # one repair visited these in its rebuilt MN(f); the build
-            # visited them in MN(f), whose order discards keep
-            order = self._rebuilt(f) if t else self._mn[f]
             inside = set(members)
-            members = [z for z in order if z in inside]
+            members = [z for z in self._listed(t, f) if z in inside]
         return self._key(f, members[pick])
 
     def _min_ties(self) -> list[int]:
@@ -392,16 +445,18 @@ class CleccTable:
         self._select_min_lex()
         heap, counts, value = self._bounds, self._counts, self._value
         heappop, heappush = heapq.heappop, heapq.heappush
-        m = heap[0][0]
-        found: dict[int, float] = {}
-        while heap and heap[0][0] == m:
-            key = heappop(heap)[1]
+        nn = self._n * self._n
+        m = heap[0] // nn
+        below = (m + 1) * nn  # the items at m are those under this
+        found: dict[int, int] = {}
+        while heap and heap[0] < below:
+            key = heappop(heap) % nn
             if key in counts and key not in found:
-                found[key] = value(key)
+                found[key] = value(key, _scaled_value)
         ties = []
-        for key, v in found.items():
-            heappush(heap, (v, key))
-            if v == m:
+        for key, scaled in found.items():
+            heappush(heap, scaled * nn + key)
+            if scaled == m:
                 ties.append(key)
         return ties
 
@@ -459,16 +514,26 @@ def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
     net._check_alpha(alpha)
     mn = net._alpha_adjacency(alpha)
     table = CleccTable(alpha, net._node_index, net._node_labels, net._links, mn)
-    counts, key = table._counts, table._key
+    counts, rank, n = table._counts, table._rank, table._n
     bits = _bitmasks(mn)
-    for i, a in enumerate(mn):
-        bits_i = bits.get(i)
-        for j in a:
+    # each node's pairs go in in its query order, the order random draws
+    # list untouched pairs in; a set sized in one step loses it.  At
+    # alpha 1 the walk makes each query set afresh.  At alpha >= 2 the
+    # adjacency's sets are the query sets, each copied in one step once
+    # walked: the walk reads no set of an earlier node
+    walk = net._query_sets(1) if alpha == 1 else mn
+    for i, query in enumerate(walk):
+        a, bits_i, rank_i = mn[i], bits.get(i), rank[i]
+        for j in query:
             if j > i:
+                rank_j = rank[j]
+                key = rank_i * n + rank_j if rank_i < rank_j else rank_j * n + rank_i
                 if bits_i is None or j not in bits:
-                    counts[key(i, j)] = len(a & mn[j])
+                    counts[key] = len(a & mn[j])
                 else:
-                    counts[key(i, j)] = (bits_i & bits[j]).bit_count()
+                    counts[key] = (bits_i & bits[j]).bit_count()
+        if alpha > 1:
+            mn[i] = set(query)
     return table
 
 
@@ -553,11 +618,13 @@ def _repair(table: CleccTable, pair: tuple[int, int]) -> None:
     counts, bounds, zeros, rank, n = (
         table._counts, table._bounds, table._zeros, table._rank, table._n
     )
-    heappush = heapq.heappush
+    heappush, nn = heapq.heappush, n * n
     shared = mn[i] & mn[j]
     if zeros is not None:
         table._repairs += 1
         table._touched[i] = table._touched[j] = table._repairs
+    else:
+        table._early_repair = True
     for e in pair:
         mn_e, rank_e = mn[e], rank[e]
         size_e = len(mn_e)
@@ -567,7 +634,7 @@ def _repair(table: CleccTable, pair: tuple[int, int]) -> None:
             key = rank_e * n + rank_z if rank_e < rank_z else rank_z * n + rank_e
             c = counts[key] = counts[key] - 1
             if bounds is not None:
-                heappush(bounds, (_candidate_value(c, size_e, len(mn[z])), key))
+                heappush(bounds, _scaled_value(c, size_e, len(mn[z])) * nn + key)
             if not c:
                 emptied.append(z)
         if zeros is None:

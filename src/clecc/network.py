@@ -266,8 +266,8 @@ class MultiLayerNetwork:
     def _mn_idx(self, i: int, alpha: int) -> set[int]:
         """Multi-layered neighbourhood of node index i, as indices.
 
-        Built key by key, never as ``set(links)``: a presized set
-        iterates in another order, which changes ``SeededRandom`` draws.
+        Built key by key, so it lists its members in query order (see
+        ``_query_sets``).
         """
         links = self._links[i]
         if alpha == 1:  # every key is linked on some layer
@@ -275,16 +275,36 @@ class MultiLayerNetwork:
         even = self._even_bits
         return {j for j, m in links.items() if ((m | m >> 1) & even).bit_count() >= alpha}
 
+    def _query_sets(self, alpha: int) -> Iterator[set[int]]:
+        """Each node's ``_mn_idx(i, alpha)``, made one node at a time.
+
+        A set built key by key iterates in the order its keys hashed
+        into it while it grew; that query order is the one
+        ``SeededRandom`` draws list tied pairs in.  A presized set, as
+        ``set(links)`` makes, iterates in another order, so only these
+        sets give it.  At alpha >= 2 the layer count is taken once per
+        distinct link mask.
+        """
+        if alpha == 1:
+            for links in self._links:
+                yield set(iter(links))  # an iterator, so not presized
+            return
+        linked = _AlphaLinked(self._even_bits, alpha)
+        for links in self._links:
+            yield {j for j, m in links.items() if linked[m]}
+
     def _alpha_adjacency(self, alpha: int) -> list[set[int]]:
         """Fresh undirected index adjacency of the alpha-threshold graph.
 
-        Each set is built key by key, as ``_mn_idx`` builds it; at alpha
-        >= 2 the layer count is taken once per distinct link mask.
+        At alpha 1 each set is ``set(links)``, sized for its members in
+        one step.  At alpha >= 2 it is the node's query set: filtering
+        the link map is the costly part, so it is done once, and
+        ``clecc_table`` walks these sets in query order before it copies
+        each to its size.
         """
         if alpha == 1:
-            return [self._mn_idx(i, 1) for i in range(len(self._links))]
-        linked = _AlphaLinked(self._even_bits, alpha)
-        return [{j for j, m in links.items() if linked[m]} for links in self._links]
+            return [set(links) for links in self._links]
+        return list(self._query_sets(alpha))
 
 
 class _AlphaLinked(dict):

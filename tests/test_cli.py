@@ -386,6 +386,17 @@ def test_measure_delimiter_and_dedupe(tmp_path, capsys):
     assert "1 duplicate" in out.err
 
 
+def test_malformed_file_line_quoted_as_written(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("a,b\n")
+    assert cli_main(["detect", "--input", str(path), "--alpha", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: line 1: expected 3 non-empty fields separated by ',', got 'a,b'\n"
+    )
+
+
 def test_measure_empty_delimiter(toy2_csv, capsys):
     code = cli_main(["measure", "--input", toy2_csv, "--alpha", "1", "--delimiter", ""])
     out = capsys.readouterr()

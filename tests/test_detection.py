@@ -327,6 +327,7 @@ class TestSelectionStructures:
             net.remove_pair_edges(*pair)
             update_after_removal(table, net, *pair)
         assert table._zeros is None and table._bounds is not None
+        assert table._build_order is None
 
     def test_lex_run_builds_no_value_buckets(self, monkeypatch):
         # lex detection keeps only its lower-bound heap; random ties also
@@ -348,3 +349,6 @@ class TestSelectionStructures:
         assert len(lex) == len(seeded) == 0
         assert lex._zeros is None and lex._bounds is not None and not lex._repairs
         assert seeded._zeros == {} and seeded._bounds is not None and seeded._repairs
+        # the detector draws before its first repair, so no draw copies
+        # the build order out of the counts
+        assert lex._build_order is None and seeded._build_order is None

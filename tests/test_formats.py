@@ -171,12 +171,24 @@ class TestParseEdgeList:
         with pytest.raises(error) as err:
             parse_edge_list(text)
         assert (err.value.line, str(err.value)) == (line, message)
-        # lines read from a file keep their newline, and so does the quote
-        if error is MalformedLineError:
-            message = message[:-1] + "\\n'"
+        # lines read from a file keep their newline; the quote drops it
         with pytest.raises(error) as err:
             parse_edge_list(io.StringIO(text))
         assert (err.value.line, str(err.value)) == (line, message)
+
+    @pytest.mark.parametrize("newline", [None, ""], ids=["text-mode", "untranslated"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", ""], ids=["LF", "CRLF", "CR", "EOF"])
+    def test_malformed_line_from_a_file_quoted_without_its_terminator(
+        self, tmp_path, newline, end
+    ):
+        path = tmp_path / "edges.csv"
+        path.write_bytes(f"x,y,l1\na,b {end}".encode())
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            with pytest.raises(MalformedLineError) as err:
+                parse_edge_list(handle)
+        assert str(err.value) == (
+            "line 2: expected 3 non-empty fields separated by ',', got 'a,b '"
+        )
 
     @pytest.mark.parametrize(
         "brk",

@@ -1,6 +1,7 @@
 """Measure values on the closed-form fixtures, table maintenance."""
 
 import heapq
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -483,7 +484,8 @@ class TestUpdateAfterRemoval:
 
     def test_adjacency_matches_a_fresh_query(self):
         # set contents, and the iteration order of each node's rebuilt
-        # set: SeededRandom draws read ties in that order
+        # set, which must be a fresh query's: SeededRandom draws read
+        # ties in that order
         rng = random.Random(32)
         for _ in range(12):
             net = random_network(rng, max_nodes=24, max_layers=3)
@@ -499,15 +501,27 @@ class TestUpdateAfterRemoval:
                     fresh = work._alpha_adjacency(alpha)
                     assert table._mn == fresh
                     rebuilt = [list(table._rebuilt(v)) for v in range(len(fresh))]
-                    assert rebuilt == [list(a) for a in fresh]
+                    assert rebuilt == [list(work._mn_idx(v, alpha)) for v in range(len(fresh))]
+
+
+def scaled(value):
+    """An exact value as the lex heap's items hold it: floor(value * 2**53)."""
+    return math.floor(value * 2**53)
+
+
+def heap_items(table):
+    """The lex heap's items as (scaled bound, key), in heap order."""
+    return [divmod(item, table._n**2) for item in table._bounds]
 
 
 def assert_lower_bounds(table):
     """Every live key has a lex-heap entry at or below its current value."""
     lowest = {}
-    for bound, key in table._bounds:
+    for bound, key in heap_items(table):
         lowest[key] = min(bound, lowest.get(key, bound))
-    assert all(lowest[key] <= table._value(key) for key in table._counts)
+    assert all(
+        lowest[key] <= scaled(table.value(*table._labels(key))) for key in table._counts
+    )
 
 
 def fresh_lex_min(net, alpha, frozen=frozenset()):
@@ -622,17 +636,20 @@ class TestLexSelection:
         net.remove_pair_edges("q", "r")
         update_after_removal(table, net, "q", "r")
         assert table._select_min_lex() == key["ab"]
-        assert [b for b, k in table._bounds if k == key["pq"]] == [1.0]
+        assert [b for b, k in heap_items(table) if k == key["pq"]] == [scaled(1)]
         # a-c and b-c fall to 0: new bounds beside their old ones of 1
         net.remove_pair_edges("a", "b")
         update_after_removal(table, net, "a", "b")
         assert table._select_min_lex() == key["ac"]
-        assert sorted(b for b, k in table._bounds if k == key["ac"]) == [0.0, 1.0]
+        assert sorted(b for b, k in heap_items(table) if k == key["ac"]) == [
+            scaled(0),
+            scaled(1),
+        ]
         # deleted keys leave their bounds behind, dropped as they surface
         table._delete(key["ac"])
         table._delete(key["bc"])
         assert table._select_min_lex() == key["de"]
-        assert table._bounds[0] == (1.0, key["de"])
+        assert heap_items(table)[0] == (scaled(1), key["de"])
         net.remove_pair_edges("d", "e")
         update_after_removal(table, net, "d", "e")
         assert table._select_min_lex() == key["df"]
@@ -647,7 +664,9 @@ class TestLexSelection:
         # lex selection and min_value build the heap only; a random
         # draw starts the zero-value order
         assert table._zeros is None
-        assert sorted(table._bounds) == sorted((table._value(k), k) for k in table._counts)
+        assert sorted(heap_items(table)) == sorted(
+            (scaled(table.value(*table._labels(k))), k) for k in table._counts
+        )
         assert table.min_value() == 0
         assert table._zeros is None
         assert table._select_min_random(random.Random(0)) == cd
@@ -803,6 +822,37 @@ class TestRandomSelection:
             "dyad",
             "freeze",
         }, seen
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_first_draw_after_repairs_lists_the_build_order(self, alpha):
+        # public repairs before the first draw shrink some neighbourhoods,
+        # and a rebuilt set of fewer members can iterate in another
+        # order; keys no counted repair touched keep the build's order,
+        # a query of the network as it was, without the keys gone since
+        net = generate_planted(
+            PlantedParams(sizes=(40,) * 5, layers=2, p_in=0.6, p_out=0.02, seed=5)
+        ).network
+        rng = random.Random(3)
+        work = net.copy()
+        table = clecc_table(work, alpha)
+        for _ in range(len(table) // 3):
+            x, y = table._labels(rng.choice(list(table._counts)))
+            work.remove_pair_edges(x, y)
+            update_after_removal(table, work, x, y)
+        assert table._build_order is None
+        table._select_min_random(random.Random(0))
+        counts = table._counts
+
+        def live(f, order):
+            return [z for z in order if z > f and table._key(f, z) in counts]
+
+        rebuilt_differs = 0
+        for f in range(net.node_count):
+            built = live(f, net._mn_idx(f, alpha))
+            assert live(f, table._listed(0, f)) == built
+            rebuilt_differs += live(f, table._rebuilt(f)) != built
+        # the input tells the two orders apart
+        assert rebuilt_differs
 
 
 class TestExactness:

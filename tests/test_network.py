@@ -157,9 +157,11 @@ class TestFlattenAlpha:
                     assert flat[x] == net.multilayer_neighborhood(x, alpha)
 
     def test_adjacency_lists_each_neighbourhood_in_query_order(self):
-        # each set is built key by key, as a single-node query builds it:
-        # the sets' order feeds SeededRandom draws.  Small ints iterate in
-        # index order in a table wider than n, so the networks are sparse
+        # the adjacency and the table's sets hold each neighbourhood; the
+        # query order SeededRandom draws read lives in the query sets and
+        # in the table counts' insertion order, a walk of each node's
+        # query.  Small ints iterate in index order in a table wider than
+        # n, so the networks are sparse
         rng = random.Random(6)
         for _ in range(5):
             net = MultiLayerNetwork()
@@ -171,8 +173,14 @@ class TestFlattenAlpha:
             for alpha in range(1, net.layer_count + 1):
                 adjacency = net._alpha_adjacency(alpha)
                 assert len(adjacency) == net.node_count
-                for i, mn in enumerate(adjacency):
-                    assert list(mn) == list(net._mn_idx(i, alpha))
+                queries = [net._mn_idx(i, alpha) for i in range(net.node_count)]
+                assert adjacency == queries
+                for i, query in enumerate(net._query_sets(alpha)):
+                    assert list(query) == list(queries[i])
+                table = clecc_table(net, alpha)
+                assert table._mn == queries
+                walk = [table._key(i, j) for i, q in enumerate(queries) for j in q if j > i]
+                assert list(table._counts) == walk
 
 
 class TestRemovePairEdges:
