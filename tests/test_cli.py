@@ -18,6 +18,7 @@ from clecc import (
     clecc_table,
     generate_planted,
     parse_edge_list,
+    reference,
     run_detection,
     write_edge_list,
     write_result,
@@ -186,7 +187,7 @@ def test_detect_oracle_mismatch_writes_nothing(barbell_csv, capsys, monkeypatch)
     def no_groups(net, config):
         return DetectionResult(config=config, groups=[], singletons=net.nodes(), removals=[])
 
-    monkeypatch.setattr(cli, "naive_detect", no_groups)
+    monkeypatch.setattr(reference, "naive_detect", no_groups)
     code = cli_main(
         [
             "detect", "--input", barbell_csv, "--alpha", "1",
@@ -284,12 +285,12 @@ def test_measure_oracle(toy2_csv, capsys):
 def test_measure_oracle_mismatch_writes_nothing(toy2_csv, capsys, monkeypatch):
     # only the last row disagrees: a check made while writing would
     # already have sent the rows before it
-    real = cli.naive_clecc
+    real = reference.naive_clecc
 
     def last_row_wrong(net, x, y, alpha):
         return -1.0 if (x, y) == ("x", "y") else real(net, x, y, alpha)
 
-    monkeypatch.setattr(cli, "naive_clecc", last_row_wrong)
+    monkeypatch.setattr(reference, "naive_clecc", last_row_wrong)
     code = cli_main(["measure", "--input", toy2_csv, "--alpha", "1", "--oracle"])
     out = capsys.readouterr()
     assert code == 2
@@ -363,7 +364,7 @@ def test_measure_pair_needs_two_labels(toy2_csv, capsys, pair):
 
 
 def test_measure_pair_oracle_mismatch(toy2_csv, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "naive_clecc", lambda net, x, y, alpha: -1.0)
+    monkeypatch.setattr(reference, "naive_clecc", lambda net, x, y, alpha: -1.0)
     argv = ["measure", "--input", toy2_csv, "--alpha", "1", "--pair", "x,y", "--oracle"]
     code = cli_main(argv)
     out = capsys.readouterr()
@@ -441,6 +442,23 @@ def test_generate_planted_round_trip(tmp_path, capsys):
     assert net.node_count == 12
     truth = json.loads(truth_file.read_text())
     assert [g["id"] for g in truth["groups"]] == [0, 1]
+
+
+def test_generate_planted_unopenable_output_writes_no_truth(tmp_path, capsys):
+    truth_file = tmp_path / "truth.json"
+    code = cli_main(
+        [
+            "generate", "planted", "--sizes", "6,6", "--layers", "1",
+            "--p-in", "0.9", "--p-out", "0.1", "--seed", "5",
+            "--output", str(tmp_path / "missing" / "net.csv"),
+            "--truth", str(truth_file),
+        ]
+    )
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert not truth_file.exists()
 
 
 def test_generate_planted_bad_probability(tmp_path, capsys):

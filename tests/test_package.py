@@ -4,7 +4,8 @@
 its module on first use.  A ``detect`` or ``measure`` job loads only
 what it runs, so it never imports ``dataclasses`` (which pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``), ``fractions`` (which
-pulls in ``decimal``), the generators or NMI scoring.
+pulls in ``decimal``), the generators, NMI scoring or, without
+``--oracle``, the naive reference.
 """
 
 import ast
@@ -39,6 +40,7 @@ NOT_LOADED = [
     "decimal",
     "clecc.generators",
     "clecc.evaluation",
+    "clecc.reference",
 ]
 
 
