@@ -105,9 +105,9 @@ def generate_planted(params: PlantedParams) -> PlantedNetwork:
     # communities are consecutive index blocks; end[a] is one past a's block
     end: list[int] = []
     for community, size in enumerate(params.sizes):
-        for label in labels[len(end) : len(end) + size]:
-            truth[label] = community
-        end += [len(end) + size] * size
+        start = len(end)
+        truth.update(dict.fromkeys(labels[start : start + size], community))
+        end += [start + size] * size
 
     draw = random.Random(params.seed).random
     p_in, p_out = params.p_in, params.p_out
