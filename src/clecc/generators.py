@@ -96,7 +96,7 @@ def generate_planted(params: PlantedParams) -> PlantedNetwork:
     draw from ``random.Random(params.seed)``, so the result is a pure
     function of ``params``.  That is layers * n * (n - 1) / 2 draws
     whatever the densities: 1,438,800 for twelve blocks of 100 on two
-    layers, about 0.11 s on a 2-vCPU VM with Python 3.11.
+    layers, about 0.1 s on a 2-vCPU VM with Python 3.11.
     """
     n = sum(params.sizes)
     width = len(str(n - 1)) if n > 1 else 1
