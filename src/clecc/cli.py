@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 usage error, 2 data error.  A usage error is
 a bad or missing flag value or a missing subcommand: it raises
 :class:`InvalidParamsError`, like a bad parameter does in the library,
 and prints one ``usage error:`` line.  Results go to standard output or
-``--output``; all diagnostics go to standard error.
+``--output``; all diagnostics go to standard error.  A command that
+fails leaves every file it was to write as it found it.
 
 The generators, NMI scoring and the naive reference are imported by the
 code that uses them, so ``detect`` and ``measure`` jobs never load them
@@ -22,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -266,7 +267,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise InvalidParamsError(f"--sizes expects comma-separated integers, got {text!r}")
 
 
-def _cmd_generate_planted(args) -> str | Callable[[TextIO], None]:
+def _cmd_generate_planted(args) -> str | dict[str, str]:
     from .generators import PlantedParams, generate_planted
 
     params = PlantedParams(
@@ -281,15 +282,7 @@ def _cmd_generate_planted(args) -> str | Callable[[TextIO], None]:
     if not args.truth:
         return edges
     truth_doc = json.dumps(partition_to_dict(planted.truth_partition()), indent=2)
-
-    def write(handle: TextIO) -> None:
-        # the truth goes out only once --output is open and holds the edges,
-        # so a run that cannot write the edge list leaves no truth file
-        handle.write(edges)
-        handle.flush()
-        Path(args.truth).write_text(truth_doc + "\n", encoding="utf-8")
-
-    return write
+    return {args.output: edges, args.truth: truth_doc + "\n"}
 
 
 def _cmd_generate_scenario(args) -> str:
@@ -330,15 +323,65 @@ def _emit(body: str | Callable[[TextIO], None], handle: TextIO) -> None:
         body(handle)
 
 
+def _write_files(files: dict[str, str | Callable[[TextIO], None]]) -> None:
+    """Write every file of a command, or leave each target as it was.
+
+    Each body goes to a new file beside its target.  Once every body is
+    written, each new file is moved onto its target with ``os.replace``;
+    on any failure before that, the new files are removed.
+    """
+    made: list[tuple[str, str]] = []
+    try:
+        for path, body in files.items():
+            target, temp, fd = _new_file_beside(path)
+            made.append((temp, target))
+            with open(fd, "w", encoding="utf-8") as handle:
+                _emit(body, handle)
+        for temp, target in made:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in made:
+            try:
+                os.unlink(temp)
+            except FileNotFoundError:  # already moved into place
+                pass
+        raise
+
+
+def _new_file_beside(path: str) -> tuple[str, str, int]:
+    """A new file beside ``path``'s target: the target, the file's name and descriptor.
+
+    As ``open(path, "w")`` would, this writes through a symbolic link
+    and keeps an existing file's mode; a new one gets 0666.  The umask
+    applies to either.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode & 0o777
+    except OSError:
+        mode = 0o666
+    directory, name = os.path.split(target)
+    for n in count():
+        temp = os.path.join(directory, f".{name}.{os.getpid()}.{n}.tmp")
+        try:
+            return target, temp, os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            exc.filename = path  # name the path given, not the new file
+            raise
+
+
 def cli_main(argv: list[str]) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
     try:
         args = _build_parser().parse_args(argv)
         body = args.handler(args)
         output = getattr(args, "output", None)
-        if output:
-            with open(output, "w", encoding="utf-8") as handle:
-                _emit(body, handle)
+        if isinstance(body, dict):  # the paths and bodies of several files
+            _write_files(body)
+        elif output:
+            _write_files({output: body})
         else:
             _emit(body, sys.stdout)
     except InvalidParamsError as exc:

@@ -261,7 +261,7 @@ class _SpanningForest:
     Lichtenberg & Thorup 2001), without their bound on the search.
     """
 
-    def __init__(self, adj: list[set[int]]):
+    def __init__(self, adj: list[dict[int, int]]):
         n = len(adj)
         parent = self._parent = [-1] * n
         children: dict[int, list[int]] = {}
@@ -360,9 +360,7 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
     def freeze(members: set[int]) -> None:
         for v in members:
             frozen[v] = True
-            for w in adj[v]:
-                if w > v:
-                    table._delete(table._key(v, w))
+        table._freeze(members)
         groups_idx.append(sorted(members))
 
     while len(table):

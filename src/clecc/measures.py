@@ -18,10 +18,10 @@ repairs such a table exactly after all edges of one pair were deleted:
 only entries containing one of the two endpoints can change, because a
 pair's value depends solely on the neighbourhoods of its members.
 
-The table stores each pair's common-neighbour count ``c`` and owns
-the working alpha adjacency ``MN`` the counts refer to.  A value is
-derived when needed as ``c / (|MN(x)| + |MN(y)| - 2 - c)``, or 1.0
-when that denominator is 0.  The floats are exact: a value is a
+The table owns the working alpha adjacency ``MN``, one dict per node
+from neighbour to common-neighbour count ``c``, kept under both nodes.
+A value is derived as ``c / (|MN(x)| + |MN(y)| - 2 - c)``, or 1.0 when
+that denominator is 0.  The floats are exact: a value is a
 fraction in [0, 1] whose denominator is at most n - 2 < N = n.  Two
 distinct such fractions differ by at least 1/N**2; a correctly rounded
 quotient lies within 2**-54 of its fraction.  While N < 2**26 (checked
@@ -38,12 +38,13 @@ does, and at alpha 1 reads the link maps' key views as the
 neighbourhoods instead of copying them.
 
 ``clecc_table`` counts common neighbours with bitmasks where a bitmask
-is no larger than the set it sits beside.  A node with at least n / 256
-alpha-neighbours gets an int whose bit j is set for each neighbour
-index j; a pair of two such nodes counts ``(bits_i & bits_j).bit_count()``,
-any other pair takes ``len(a & b)`` of the two neighbour sets.  An
-n-bit int takes about n / 8 bytes and a set about 40 bytes per member,
-so at least n / 6.4 bytes here; a sparse input builds no bitmask.
+is about as large as the neighbour map it sits beside, or smaller.  A
+node with at least n / 256 alpha-neighbours gets an int whose bit j is
+set for each neighbour index j; a pair of two such nodes counts
+``(bits_i & bits_j).bit_count()``, any other pair intersects the two
+neighbourhoods.  An n-bit int takes about n / 8 bytes and a map 30 to
+50 bytes per member, so at least n / 8.5 bytes here; a sparse input
+builds no bitmask.
 
 The repair after a removal intersects no sets per entry.  Removing
 {i, j} touches only the entries (e, z) with e one of the endpoints.
@@ -70,8 +71,8 @@ or after the top in (bound, key) order, so the top's (value, key) is
 at most (value(k), k).  Keys over label ranks sort as their label
 pairs do, so that is the smallest value with the label-wise smallest
 pair among its ties.  This is the lazy-greedy rule for bounds that
-move one way (Minoux 1978; Leskovec et al. 2007, CELF).  Deleted keys
-leave their items behind until they surface; no key returns.
+move one way (Minoux 1978; Leskovec et al. 2007, CELF).  Removed and
+frozen pairs leave their items behind until they surface; no key returns.
 ``min_value`` reads the same heap.
 
 Each item is one int, ``floor(bound * 2**53) * n**2 + key``, decoded
@@ -87,21 +88,20 @@ replaces a tuple, a float and its pointers.
 
 A ``SeededRandom`` draw picks by position among the keys at the
 minimum, listed in the order they took that value since the first
-random draw: first as the counts were built, then as repairs visited
-them, the smaller endpoint first and each endpoint's entries in the
-order a fresh query lists ``MN(e)`` (``_rebuilt``).  That order lives
-in fresh queries and in the counts' insertion order, never in the
-layout of the table's sets, which are sized in one step and iterate in
-another order.  ``clecc_table`` inserts each node's pairs as its query
-set lists them, and the counts keep that build order: a deletion keeps
-the order of the rest and no key is inserted again.  The order needs
-no index of keys by value:
+random draw: first in build order, then as repairs visited them, the
+smaller endpoint first and each endpoint's entries in the order a fresh
+query lists ``MN(e)`` (``_rebuilt``).  ``clecc_table`` fills each
+node's map in its query order, and the build order is the walk of the
+nodes ascending, each over its map's later neighbours.  A map never
+takes a key again, and a deletion keeps the order of the rest, so the
+walk lists the build order of the pairs left.  The order needs no index
+of keys by value:
 
 * A key at value 0 has c = 0 and stays at 0 when touched, unless it is
   left as an isolated dyad (value 1).  ``_zeros`` lists these keys: the
-  first draw takes them in count order; a repair appends each shared
-  entry whose count reaches 0 and drops a new dyad; ``_delete`` drops a
-  key.
+  first draw takes them in build order; a repair appends each shared
+  entry whose count reaches 0 and drops a new dyad; a removed or frozen
+  pair leaves it.
 * Every touch of a key with c > 0 changes its value: c / den becomes
   (c - 1) / den for a shared entry, c / (den - 1) otherwise.  Counts
   never rise, so such a key had c > 0 at every touch, and a dyad is
@@ -113,9 +113,9 @@ no index of keys by value:
   draw needs it.  A key that no counted repair touched keeps its build
   place: its smaller node, then the other's place in that node's build
   walk.  While no repair came before the first draw, as in every
-  detector run, that node's set and link map are as built, so a
+  detector run, that node's map and link map are as built, so a
   rebuilt set lists the walk.  Otherwise the first draw copies each
-  node's build order out of the counts, once (``_build_order``).
+  node's build order out of the maps, once (``_build_order``).
 
 A draw at a positive minimum m reads the live keys at m off the lower
 bound heap (see ``_min_ties``), sorts them by place and picks by
@@ -128,7 +128,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import islice
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from .errors import (
     EmptyTableError,
@@ -168,7 +168,7 @@ def _scaled_value(inter: int, size_a: int, size_b: int) -> int:
     return (inter << 53) // den if den else 1 << 53
 
 
-def _bitmasks(mn: list[AbstractSet[int]]) -> dict[int, int]:
+def _bitmasks(mn: list[Collection[int]]) -> dict[int, int]:
     """Neighbour bitmask of each node with at least n / 256 neighbours."""
     n = len(mn)
     size = (n + 7) // 8
@@ -184,12 +184,13 @@ def _bitmasks(mn: list[AbstractSet[int]]) -> dict[int, int]:
 
 def _label_ranks(label_of: list[str]) -> tuple[list[int], list[int]]:
     """Node indices in label order, and each node's rank in it (the inverse)."""
-    by_rank = sorted(range(len(label_of)), key=label_of.__getitem__)
-    return by_rank, sorted(range(len(label_of)), key=by_rank.__getitem__)
+    nodes = list(range(len(label_of)))  # one int object per index, shared by both
+    by_rank = sorted(nodes, key=label_of.__getitem__)
+    return by_rank, sorted(nodes, key=by_rank.__getitem__)
 
 
 def _rank_walk(
-    mn: list[AbstractSet[int]], rank: list[int], by_rank: list[int]
+    mn: list[Collection[int]], rank: list[int], by_rank: list[int]
 ) -> Iterator[tuple[int, list[int]]]:
     """Each node in label-rank order, with its higher-rank neighbours by rank.
 
@@ -212,18 +213,16 @@ def _check_float_exact(n: int) -> None:
 class CleccTable:
     """Mapping from unordered candidate node pair to its exact value.
 
-    The table owns the working alpha adjacency ``_mn`` and stores each
-    pair's common-neighbour count, from which its value is derived.
-    Selection structures are built on first use, from the counts:
-    a lazy heap of lower bounds serves every selection at a positive
-    value and ``min_value``; random selection also keeps the value-0
-    pairs in order and each node's last repair (see the module
-    docstring).  The sets of ``_mn`` carry membership only; the order
-    of a rebuilt neighbourhood comes from its network's link maps.  A
-    pair is keyed by one int, ``lo * n + hi`` with ``lo < hi`` the ranks
-    of its nodes in label order, so keys sort as label pairs do.  The
-    node set is fixed when the table is built; the public surface
-    speaks labels.
+    The table owns the working alpha adjacency ``_mn``, one map per node
+    from neighbour to common-neighbour count; values are derived from
+    the counts and the maps' sizes.  Selection structures are built on
+    first use: a lazy heap of lower bounds serves every selection at a
+    positive value and ``min_value``; random selection also keeps the
+    value-0 pairs in order and each node's last repair (see the module
+    docstring).  A pair is keyed by one int, ``lo * n + hi`` with
+    ``lo < hi`` the ranks of its nodes in label order, so keys sort as
+    label pairs do.  The node set is fixed when the table is built; the
+    public surface speaks labels.
     """
 
     def __init__(
@@ -232,7 +231,7 @@ class CleccTable:
         index_of: dict[str, int],
         label_of: list[str],
         links: list[dict[int, int]],
-        mn: list[set[int]],
+        mn: list[dict[int, int]],
     ):
         n = len(label_of)
         _check_float_exact(n)
@@ -243,7 +242,7 @@ class CleccTable:
         self._by_rank, self._rank = _label_ranks(label_of)
         self._mn = mn
         self._links = links
-        self._counts: dict[int, int] = {}
+        self._live = sum(map(len, mn)) // 2  # pairs in the table
         # lazy min-heap of floor(lower bound on value * 2**53) * n**2 + key;
         # built on first selection at a positive value or min_value
         self._bounds: list[int] | None = None
@@ -254,46 +253,43 @@ class CleccTable:
         self._touched: list[int] = []
         self._repairs = 0
         # whether a repair ran before the first random draw; if one did,
-        # that draw copies each node's build order out of the counts
+        # that draw copies each node's build order out of the maps
         self._early_repair = False
         self._build_order: list[list[int]] | None = None
 
     # -- public, label-based ------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return self._live
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return self._key_from_labels(pair) in self._counts
+        key = self._key_from_labels(pair)
+        return key is not None and self._value(key) is not None
 
     def value(self, x: str, y: str) -> Fraction:
         key = self._key_from_labels((x, y))
-        if key not in self._counts:
+        value = None if key is None else self._value(key)
+        if value is None:
             raise KeyError(f"no table entry for pair ({x!r}, {y!r})")
         from fractions import Fraction
 
-        return Fraction(self._value(key)).limit_denominator(self._n)
+        return Fraction(value).limit_denominator(self._n)
 
     def items(self) -> Iterator[tuple[tuple[str, str], float]]:
         """Yield ((label_a, label_b), value), each pair label-sorted, in pair order.
 
-        ``clecc_rows``'s rank walk, over the table's own adjacency.  Its
-        pairs hold every stored key; the pairs of a frozen group, whose
-        keys left the table while the adjacency kept them, are skipped.
-        Each value comes from the stored count as ``_candidate_value``
-        derives it.
+        ``clecc_rows``'s rank walk over the table's own adjacency, each
+        value derived from the stored count by ``_candidate_value``.
         """
-        n, counts, mn, rank = self._n, self._counts, self._mn, self._rank
-        labels = self._label_of
-        for i, higher in _rank_walk(mn, rank, self._by_rank):
-            label_i, size_i, base = labels[i], len(mn[i]), rank[i] * n
+        mn, labels = self._mn, self._label_of
+        for i, higher in _rank_walk(mn, self._rank, self._by_rank):
+            mn_i, label_i = mn[i], labels[i]
+            size_i = len(mn_i)
             for j in higher:
-                c = counts.get(base + rank[j])
-                if c is not None:
-                    yield (label_i, labels[j]), _candidate_value(c, size_i, len(mn[j]))
+                yield (label_i, labels[j]), _candidate_value(mn_i[j], size_i, len(mn[j]))
 
     def pairs(self) -> list[tuple[str, str]]:
-        return [self._labels(key) for key in sorted(self._counts)]
+        return [pair for pair, _ in self.items()]
 
     def min_value(self) -> Fraction:
         """Smallest value in the table; EmptyTableError when empty."""
@@ -326,26 +322,36 @@ class CleccTable:
         j = self._index_of.get(pair[1], self._n)
         return self._key(i, j) if max(i, j) < self._n else None
 
-    def _value(self, key: int, of=_candidate_value) -> float:
-        """Value of a stored pair, from its count and the current sizes.
+    def _value(self, key: int, of=_candidate_value) -> float | None:
+        """Value of a pair from its count and the current sizes; None once it left.
 
         ``of=_scaled_value`` gives it as the lex heap holds it.
         """
         lo, hi = divmod(key, self._n)
-        mn, by_rank = self._mn, self._by_rank
-        return of(self._counts[key], len(mn[by_rank[lo]]), len(mn[by_rank[hi]]))
+        mn_i, mn_j = self._mn[self._by_rank[lo]], self._mn[self._by_rank[hi]]
+        c = mn_i.get(self._by_rank[hi])
+        return None if c is None else of(c, len(mn_i), len(mn_j))
 
-    def _delete(self, key: int) -> None:
-        """Drop a key; its bounds leave the lex heap when they surface."""
-        if self._zeros is not None:
-            self._zeros.pop(key, None)
-        del self._counts[key]
+    def _freeze(self, group: Iterable[int]) -> None:
+        """Take out the pairs of a frozen group, a whole component of ``_mn``.
+
+        Each member's map is emptied; the pairs' bounds leave the lex
+        heap as they surface.
+        """
+        mn, zeros = self._mn, self._zeros
+        self._live -= sum(len(mn[v]) for v in group) // 2
+        for v in group:
+            if zeros:
+                for w, c in mn[v].items():
+                    if not c and w > v:
+                        zeros.pop(self._key(v, w), None)
+            mn[v].clear()
 
     def _rebuilt(self, i: int) -> set[int]:
         """``MN(i)`` built afresh from the link map, in a new query's order.
 
-        Built key by key: ``_mn[i]`` holds the members, but was sized in
-        one step and iterates in another order (see
+        Built key by key: ``_mn[i]`` holds the members in build order,
+        and a query of fewer members can iterate in another (see
         ``MultiLayerNetwork._query_sets``).
         """
         mn_i = self._mn[i]
@@ -370,16 +376,21 @@ class CleccTable:
         """
         heap, value, nn = self._bounds, self._value, self._n * self._n
         if heap is None:
-            heap = [value(key, _scaled_value) * nn + key for key in self._counts]
+            mn, key = self._mn, self._key
+            heap = [
+                _scaled_value(c, len(mn_i), len(mn[j])) * nn + key(i, j)
+                for i, mn_i in enumerate(mn)
+                for j, c in mn_i.items()
+                if j > i
+            ]
             heapq.heapify(heap)
             self._bounds = heap
-        counts = self._counts
         while heap:
             bound, key = divmod(heap[0], nn)
-            if key not in counts:
+            scaled = value(key, _scaled_value)
+            if scaled is None:
                 heapq.heappop(heap)
                 continue
-            scaled = value(key, _scaled_value)
             if scaled == bound:
                 return key
             heapq.heapreplace(heap, scaled * nn + key)
@@ -394,20 +405,18 @@ class CleccTable:
         """
         zeros = self._zeros
         if zeros is None:
-            value = self._value
+            mn, key = self._mn, self._key
+            # in build order; a count of 0 is a value of 0, or 1 in a dyad
             zeros = self._zeros = {
-                key: None for key, c in self._counts.items() if not c and not value(key)
+                key(i, j): None
+                for i, mn_i in enumerate(mn)
+                for j, c in mn_i.items()
+                if j > i and not c and len(mn_i) + len(mn[j]) > 2
             }
             self._touched = [0] * self._n
             if self._early_repair:
-                # the counts keep the build walk's order, each pair under
-                # its smaller node; a rebuilt MN(f) of a network that lost
-                # pairs can iterate in another
-                order = self._build_order = [[] for _ in range(self._n)]
-                pair = self._pair
-                for key in self._counts:
-                    f, z = pair(key)
-                    order[f].append(z)
+                # a rebuilt MN(f) of a network that lost pairs can list another
+                self._build_order = [[j for j in mn_i if j > i] for i, mn_i in enumerate(mn)]
         if zeros:
             return next(islice(zeros, rng.randrange(len(zeros)), None))
         ties = self._min_ties()
@@ -415,7 +424,7 @@ class CleccTable:
         # group the ties by (last repair, the endpoint it repaired): the
         # pair is index-sorted, so its smaller node went first; keys
         # untouched since the first draw sort first, by smaller node, as
-        # the counts were built
+        # the maps were built
         touched, by_rank, n = self._touched, self._by_rank, self._n
         groups: dict[tuple[int, int], list[int]] = {}
         for key in ties:
@@ -443,21 +452,22 @@ class CleccTable:
         its current value: the next draw finds only live keys at m.
         """
         self._select_min_lex()
-        heap, counts, value = self._bounds, self._counts, self._value
+        heap, value = self._bounds, self._value
         heappop, heappush = heapq.heappop, heapq.heappush
         nn = self._n * self._n
         m = heap[0] // nn
         below = (m + 1) * nn  # the items at m are those under this
-        found: dict[int, int] = {}
+        found: dict[int, int | None] = {}
         while heap and heap[0] < below:
             key = heappop(heap) % nn
-            if key in counts and key not in found:
+            if key not in found:
                 found[key] = value(key, _scaled_value)
         ties = []
         for key, scaled in found.items():
-            heappush(heap, scaled * nn + key)
-            if scaled == m:
-                ties.append(key)
+            if scaled is not None:  # else the key left the table
+                heappush(heap, scaled * nn + key)
+                if scaled == m:
+                    ties.append(key)
         return ties
 
 
@@ -512,28 +522,19 @@ def clecc(net: MultiLayerNetwork, x: str, y: str, alpha: int) -> float:
 def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
     """Evaluate the measure for every pair connected on >= alpha layers."""
     net._check_alpha(alpha)
-    mn = net._alpha_adjacency(alpha)
+    # each map lists its node's neighbours in query order, the order
+    # random draws list untouched pairs in
+    mn: list[dict[int, int]] = [dict.fromkeys(query) for query in net._query_sets(alpha)]
     table = CleccTable(alpha, net._node_index, net._node_labels, net._links, mn)
-    counts, rank, n = table._counts, table._rank, table._n
     bits = _bitmasks(mn)
-    # each node's pairs go in in its query order, the order random draws
-    # list untouched pairs in; a set sized in one step loses it.  At
-    # alpha 1 the walk makes each query set afresh.  At alpha >= 2 the
-    # adjacency's sets are the query sets, each copied in one step once
-    # walked: the walk reads no set of an earlier node
-    walk = net._query_sets(1) if alpha == 1 else mn
-    for i, query in enumerate(walk):
-        a, bits_i, rank_i = mn[i], bits.get(i), rank[i]
-        for j in query:
+    for i, mn_i in enumerate(mn):
+        keys_i, bits_i = mn_i.keys(), bits.get(i)
+        for j in mn_i:
             if j > i:
-                rank_j = rank[j]
-                key = rank_i * n + rank_j if rank_i < rank_j else rank_j * n + rank_i
                 if bits_i is None or j not in bits:
-                    counts[key] = len(a & mn[j])
+                    mn_i[j] = mn[j][i] = len(keys_i & mn[j].keys())
                 else:
-                    counts[key] = (bits_i & bits[j]).bit_count()
-        if alpha > 1:
-            mn[i] = set(query)
+                    mn_i[j] = mn[j][i] = (bits_i & bits[j]).bit_count()
     return table
 
 
@@ -558,7 +559,7 @@ def _rows(net: MultiLayerNetwork, alpha: int) -> Iterator[tuple[tuple[str, str],
     if alpha == 1:  # every linked pair is a candidate
         mn = [links.keys() for links in net._links]
     else:
-        mn = net._alpha_adjacency(alpha)
+        mn = list(net._query_sets(alpha))
     by_rank, rank = _label_ranks(labels)
     bits = _bitmasks(mn)
     for i, higher in _rank_walk(mn, rank, by_rank):
@@ -589,7 +590,7 @@ def update_after_removal(
     """
     i = net.node_index(x)
     j = net.node_index(y)
-    if table._key(i, j) not in table._counts:
+    if j not in table._mn[i]:
         raise InconsistentTableError(
             f"pair ({x!r}, {y!r}) has no table entry; the table does not "
             "match the network this removal was applied to"
@@ -599,42 +600,41 @@ def update_after_removal(
 
 
 def _repair(table: CleccTable, pair: tuple[int, int]) -> None:
-    """Drop index-sorted ``pair`` from the table and its adjacency, fix the rest.
+    """Drop index-sorted ``pair`` from the table's adjacency, fix the rest.
 
-    The entry goes while both sizes predate the removal.  Each shared
-    entry loses one common neighbour; its lower value is pushed onto the
-    lower-bound heap when there is one.  Every other touched entry only rises,
-    so its bound stays valid.  Once a random draw has started the
-    random-tie bookkeeping, the repair also stamps both endpoints, and
-    keeps ``_zeros``: a shared entry whose count reaches 0 is appended
-    in the order a rebuilt ``MN(e)`` lists it, endpoint by endpoint,
-    and an entry left as an isolated dyad (value 1) is dropped.
+    Each shared entry loses one common neighbour, under both its nodes,
+    and its lower value goes onto the lower-bound heap if there is one.
+    Every other touched entry only rises, so its bound stays valid.
+    After the first random draw the repair also stamps both endpoints
+    and keeps ``_zeros``: the pair leaves it, a shared entry whose count
+    reaches 0 is appended in the order a rebuilt ``MN(e)`` lists it,
+    endpoint by endpoint, and a new isolated dyad (value 1) is dropped.
     """
     i, j = pair
-    table._delete(table._key(i, j))
-    mn = table._mn
-    mn[i].discard(j)
-    mn[j].discard(i)
-    counts, bounds, zeros, rank, n = (
-        table._counts, table._bounds, table._zeros, table._rank, table._n
+    mn, bounds, zeros, rank, n = (
+        table._mn, table._bounds, table._zeros, table._rank, table._n
     )
-    heappush, nn = heapq.heappush, n * n
-    shared = mn[i] & mn[j]
+    del mn[i][j], mn[j][i]
+    table._live -= 1
     if zeros is not None:
+        zeros.pop(table._key(i, j), None)
         table._repairs += 1
         table._touched[i] = table._touched[j] = table._repairs
     else:
         table._early_repair = True
+    heappush, nn = heapq.heappush, n * n
+    shared = mn[i].keys() & mn[j].keys()
     for e in pair:
         mn_e, rank_e = mn[e], rank[e]
         size_e = len(mn_e)
         emptied = []
         for z in shared:
-            rank_z = rank[z]
-            key = rank_e * n + rank_z if rank_e < rank_z else rank_z * n + rank_e
-            c = counts[key] = counts[key] - 1
+            mn_z = mn[z]
+            c = mn_e[z] = mn_z[e] = mn_e[z] - 1
             if bounds is not None:
-                heappush(bounds, _scaled_value(c, size_e, len(mn[z])) * nn + key)
+                rank_z = rank[z]
+                key = rank_e * n + rank_z if rank_e < rank_z else rank_z * n + rank_e
+                heappush(bounds, _scaled_value(c, size_e, len(mn_z)) * nn + key)
             if not c:
                 emptied.append(z)
         if zeros is None:

@@ -283,7 +283,8 @@ class MultiLayerNetwork:
         ``SeededRandom`` draws list tied pairs in.  A presized set, as
         ``set(links)`` makes, iterates in another order, so only these
         sets give it.  At alpha >= 2 the layer count is taken once per
-        distinct link mask.
+        distinct link mask.  The detector's table and ``clecc_rows`` at
+        alpha >= 2 read the neighbourhoods from here.
         """
         if alpha == 1:
             for links in self._links:
@@ -292,19 +293,6 @@ class MultiLayerNetwork:
         linked = _AlphaLinked(self._even_bits, alpha)
         for links in self._links:
             yield {j for j, m in links.items() if linked[m]}
-
-    def _alpha_adjacency(self, alpha: int) -> list[set[int]]:
-        """Fresh undirected index adjacency of the alpha-threshold graph.
-
-        At alpha 1 each set is ``set(links)``, sized for its members in
-        one step.  At alpha >= 2 it is the node's query set: filtering
-        the link map is the costly part, so it is done once, and
-        ``clecc_table`` walks these sets in query order before it copies
-        each to its size.
-        """
-        if alpha == 1:
-            return [set(links) for links in self._links]
-        return list(self._query_sets(alpha))
 
 
 class _AlphaLinked(dict):

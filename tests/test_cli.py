@@ -151,6 +151,18 @@ def test_unwritable_output_is_data_error(barbell_csv, tmp_path, capsys, argv):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+def test_output_through_a_link_keeps_the_file_mode(barbell_csv, tmp_path):
+    # as open(path, "w") does: the link's file is rewritten, mode and all
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("earlier\n")
+    real.chmod(0o640)
+    link.symlink_to(real)
+    assert cli_main(["detect", "--input", barbell_csv, "--alpha", "1", "--output", str(link)]) == 0
+    assert link.is_symlink() and json.loads(real.read_text())["groups"]
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["barbell.csv", "link.json", "real.json"]
+
+
 @pytest.mark.parametrize("validity", ["bogus", "min-size:0", "min-size:x"])
 def test_detect_bad_validity_is_usage_error(barbell_csv, capsys, validity):
     code = cli_main(

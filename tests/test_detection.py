@@ -301,13 +301,13 @@ class TestSelectionStructures:
     def test_run_builds_one_alpha_adjacency(self, monkeypatch, validity):
         # the table's working graph is the only one; validity reads the input
         built = []
-        original = MultiLayerNetwork._alpha_adjacency
+        original = MultiLayerNetwork._query_sets
 
         def counting(net, alpha):
             built.append(alpha)
             return original(net, alpha)
 
-        monkeypatch.setattr(MultiLayerNetwork, "_alpha_adjacency", counting)
+        monkeypatch.setattr(MultiLayerNetwork, "_query_sets", counting)
         net = generate_planted(
             PlantedParams(sizes=(12,) * 4, layers=2, p_in=0.6, p_out=0.03, seed=9)
         ).network
@@ -350,5 +350,5 @@ class TestSelectionStructures:
         assert lex._zeros is None and lex._bounds is not None and not lex._repairs
         assert seeded._zeros == {} and seeded._bounds is not None and seeded._repairs
         # the detector draws before its first repair, so no draw copies
-        # the build order out of the counts
+        # the build order out of the maps
         assert lex._build_order is None and seeded._build_order is None

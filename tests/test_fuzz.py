@@ -5,13 +5,17 @@ argument list drawn from a fixed vocabulary, then calls ``cli_main`` in
 process.  Whatever the input, no exception may leave ``cli_main``, the
 exit code is 0, 1 (usage error) or 2 (data error), and a failing run
 writes nothing to standard output and ends standard error with one
-diagnostic line, after any ``note:`` lines.
+diagnostic line, after any ``note:`` lines.  A failing run also leaves
+the output files it was given as they were, and no run leaves a
+temporary file behind.
 """
 
 import copy
 import json
 import random
 from collections import Counter
+
+import pytest
 
 from clecc.cli import cli_main
 
@@ -187,7 +191,14 @@ def draw_case(rng: random.Random) -> tuple[list, dict[str, bytes]]:
 
 def cases(seed: int = SEED, count: int = CASES):
     rng = random.Random(seed)
-    return [draw_case(rng) for _ in range(count)]
+    drawn = [draw_case(rng) for _ in range(count)]
+    # detect and measure write to --output too, drawn from a stream of
+    # its own so that the cases above stay as they are
+    outputs = random.Random(seed + 1)
+    for argv, _ in drawn:
+        if argv[:1] in (["detect"], ["measure"]) and outputs.random() < 0.3:
+            argv += ["--output", ("out",)]
+    return drawn
 
 
 def resolve(argv: list, files: dict[str, bytes], directory) -> list[str]:
@@ -197,10 +208,17 @@ def resolve(argv: list, files: dict[str, bytes], directory) -> list[str]:
     return [str(directory / arg[0]) if isinstance(arg, tuple) else arg for arg in argv]
 
 
+# output files of the cases, each present with these bytes before a case runs
+OUTPUTS = {"out": b"earlier output\n", "truth-out": b"earlier truth\n"}
+
+
 def test_every_input_ends_in_one_exit_code(tmp_path, capsys):
     codes = Counter()
+    kept = Counter()  # failed runs given each command's --output
     for number, (argv, files) in enumerate(cases()):
         args = resolve(argv, files, tmp_path)
+        for name, data in OUTPUTS.items():
+            (tmp_path / name).write_bytes(data)
         try:
             code = cli_main(args)
         except BaseException as exc:
@@ -215,4 +233,35 @@ def test_every_input_ends_in_one_exit_code(tmp_path, capsys):
             *notes, last = err[:-1].split("\n")
             assert last.startswith("usage error: " if code == 1 else "error: "), (where, err)
             assert all(line.startswith("note: ") for line in notes), (where, err)
+            for name, data in OUTPUTS.items():
+                assert (tmp_path / name).read_bytes() == data, (where, name)
+            if "--output" in args:
+                kept[args[0]] += 1
+        left = {path.name for path in tmp_path.iterdir()}
+        assert left <= {"edges", "truth", "predicted", *OUTPUTS}, (where, left)
     assert min(codes[code] for code in (0, 1, 2)) >= 50, codes
+    assert min(kept[command] for command in ("detect", "measure", "generate")) >= 10, kept
+
+
+@pytest.mark.parametrize("existing", [None, b"earlier output\n"], ids=["new", "existing"])
+def test_unwritable_truth_leaves_the_output_as_it_was(tmp_path, capsys, existing):
+    output = tmp_path / "net.csv"
+    if existing is not None:
+        output.write_bytes(existing)
+    code = cli_main(
+        [
+            "generate", "planted", "--sizes", "6,6", "--layers", "1",
+            "--p-in", "0.9", "--p-out", "0.1", "--seed", "5",
+            "--output", str(output), "--truth", str(tmp_path / "missing" / "t.json"),
+        ]
+    )
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "missing" in out.err and ".tmp" not in out.err
+    if existing is None:
+        assert not output.exists()
+    else:
+        assert output.read_bytes() == existing
+    # and no new file beside it
+    assert [path.name for path in tmp_path.iterdir()] == ["net.csv"] * (existing is not None)

@@ -229,20 +229,79 @@ class TestCleccTable:
             ]
             assert got == expected
 
+    def test_freeze_takes_out_exactly_the_group(self):
+        # the public surface and both selections skip the frozen group's
+        # pairs and no others; odd seeds keep the random-tie bookkeeping
+        rng = random.Random(38)
+        frozen_pairs = 0
+        for seed in range(30):
+            net = shuffled_labels(random_network(rng, max_nodes=24, max_layers=2), seed)
+            alpha = rng.randint(1, net.layer_count)
+            work = net.copy()
+            table = clecc_table(work, alpha)
+            if seed % 2 and len(table):
+                table._select_min_random(random.Random(seed))
+            for _ in range(rng.randint(0, 6)):
+                if not len(table):
+                    break
+                x, y = rng.choice(table.pairs())
+                work.remove_pair_edges(x, y)
+                update_after_removal(table, work, x, y)
+            if not len(table):
+                continue
+            before = table.as_dict()
+            group = freeze_component(table, work.node_index(rng.choice(list(before))[0]))
+            kept = {pair: value for pair, value in before.items() if pair[0] not in group}
+            frozen_pairs += len(before) - len(kept)
+            assert len(table) == len(kept) < len(before)
+            assert all((pair in table) == (pair in kept) for pair in before)
+            assert all(((b, a) in table) == ((a, b) in kept) for a, b in before)
+            assert list(table.items()) == list(kept.items())
+            assert table.pairs() == list(kept)
+            draws, drawn = random.Random(seed), []
+            while len(table):
+                if seed % 2:
+                    key = table._select_min_random(draws)
+                else:
+                    key = table._select_min_lex()
+                drawn.append(table._labels(key))
+                work.remove_pair_edges(*drawn[-1])
+                update_after_removal(table, work, *drawn[-1])
+            assert sorted(drawn) == list(kept)
+        assert frozen_pairs > 30
+
+    def test_table_holds_one_map_per_node(self):
+        # the benchmark's planted input at alpha 1.  A neighbour set per
+        # node beside a dict of counts by pair key held 2.51 MiB; one
+        # {neighbour: count} dict per node holds 1.24 MiB (Python 3.11)
+        net = generate_planted(
+            PlantedParams(sizes=(100,) * 12, layers=2, p_in=0.1, p_out=0.002, seed=1)
+        ).network
+        tracemalloc.start()
+        try:
+            table = clecc_table(net, 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 14027
+        assert held < 1.15 * 1.24 * 2**20
+
 
 def freeze_component(table, start: int) -> set[str]:
-    """Delete every entry of ``start``'s working component, as a freeze does."""
+    """Freeze ``start``'s working component, as the detector does."""
     mn, component, stack = table._mn, {start}, [start]
     while stack:
         for w in mn[stack.pop()]:
             if w not in component:
                 component.add(w)
                 stack.append(w)
-    for v in component:
-        for w in mn[v]:
-            if w > v:
-                table._delete(table._key(v, w))
+    table._freeze(component)
     return {table._label_of[v] for v in component}
+
+
+def table_keys(table):
+    """The table's keys in build order: smaller node ascending, then its map's order."""
+    return [table._key(i, j) for i, mn_i in enumerate(table._mn) for j in mn_i if j > i]
 
 
 def hub_path():
@@ -277,7 +336,7 @@ class TestCountingBranches:
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_only_hubs_get_bitmasks(self, alpha):
         net = hub_path()
-        masked = _bitmasks(net._alpha_adjacency(alpha))
+        masked = _bitmasks(list(net._query_sets(alpha)))
         assert sorted(net.nodes()[i] for i in masked) == ["h0", "h1", "h2", "h3"]
 
     @pytest.mark.parametrize("alpha", [1, 2])
@@ -345,13 +404,13 @@ class TestRows:
         for seed in range(20):
             net = shuffled_labels(random_network(rng, max_nodes=32, max_layers=4), seed)
             self.assert_rows_equal_table(net)
-        assert _bitmasks(net._alpha_adjacency(1))
+        assert _bitmasks(list(net._query_sets(1)))
 
     def test_sparse_inputs_take_the_set_branch(self):
         rng = random.Random(52)
         for seed in range(3):
             net = shuffled_labels(sparse_network(rng), seed)
-            assert _bitmasks(net._alpha_adjacency(1)) == {}
+            assert _bitmasks(list(net._query_sets(1))) == {}
             self.assert_rows_equal_table(net)
 
     def test_mixed_input_takes_both_branches(self):
@@ -498,8 +557,8 @@ class TestUpdateAfterRemoval:
                     pair = rng.choice(table.pairs())
                     work.remove_pair_edges(*pair)
                     update_after_removal(table, work, *pair)
-                    fresh = work._alpha_adjacency(alpha)
-                    assert table._mn == fresh
+                    fresh = list(work._query_sets(alpha))
+                    assert [mn_v.keys() for mn_v in table._mn] == fresh
                     rebuilt = [list(table._rebuilt(v)) for v in range(len(fresh))]
                     assert rebuilt == [list(work._mn_idx(v, alpha)) for v in range(len(fresh))]
 
@@ -520,7 +579,7 @@ def assert_lower_bounds(table):
     for bound, key in heap_items(table):
         lowest[key] = min(bound, lowest.get(key, bound))
     assert all(
-        lowest[key] <= scaled(table.value(*table._labels(key))) for key in table._counts
+        lowest[key] <= scaled(table.value(*table._labels(key))) for key in table_keys(table)
     )
 
 
@@ -574,7 +633,7 @@ class TestLexSelection:
                 while len(table):
                     key = table._select_min_lex()
                     # keys over label ranks sort as their label pairs
-                    assert key == min(table._counts, key=lambda k: (table._value(k), k))
+                    assert key == min(table_keys(table), key=lambda k: (table._value(k), k))
                     if rng.random() < 0.5:
                         pair = table._labels(key)
                     else:
@@ -645,9 +704,9 @@ class TestLexSelection:
             scaled(0),
             scaled(1),
         ]
-        # deleted keys leave their bounds behind, dropped as they surface
-        table._delete(key["ac"])
-        table._delete(key["bc"])
+        # a frozen group's keys leave their bounds behind, dropped as they
+        # surface; a-c and b-c are the last pairs of {a, b, c}
+        table._freeze({net.node_index(x) for x in "abc"})
         assert table._select_min_lex() == key["de"]
         assert heap_items(table)[0] == (scaled(1), key["de"])
         net.remove_pair_edges("d", "e")
@@ -665,7 +724,7 @@ class TestLexSelection:
         # draw starts the zero-value order
         assert table._zeros is None
         assert sorted(heap_items(table)) == sorted(
-            (scaled(table.value(*table._labels(k))), k) for k in table._counts
+            (scaled(table.value(*table._labels(k))), k) for k in table_keys(table)
         )
         assert table.min_value() == 0
         assert table._zeros is None
@@ -713,7 +772,7 @@ class ValueBuckets:
     def draw(self, rng):
         if self.buckets is None:
             self.buckets = {}
-            for key in self.table._counts:
+            for key in table_keys(self.table):
                 self._put(key, self._value(key))
         bucket = list(self.buckets[min(self.buckets)])
         return bucket[rng.randrange(len(bucket))]
@@ -722,7 +781,8 @@ class ValueBuckets:
         """Follow the table after a repair of ``endpoints``; drop deleted keys."""
         if self.buckets is None:
             return
-        for key in [k for k in self.at if k not in self.table._counts]:
+        live = set(table_keys(self.table))
+        for key in [k for k in self.at if k not in live]:
             self._drop(key)
         for e in sorted(endpoints):
             emptied = 0
@@ -793,10 +853,7 @@ class TestRandomSelection:
                         side.add(v)
                         stack.append(v)
             if j not in side and len(side) > 1 and rng.random() < 0.5:
-                for u in side:
-                    for v in work._mn_idx(u, alpha):
-                        if u < v and table._key(u, v) in table._counts:
-                            table._delete(table._key(u, v))
+                table._freeze(side)
                 model.sync()
                 seen["freeze"] += 1
 
@@ -836,15 +893,13 @@ class TestRandomSelection:
         work = net.copy()
         table = clecc_table(work, alpha)
         for _ in range(len(table) // 3):
-            x, y = table._labels(rng.choice(list(table._counts)))
+            x, y = table._labels(rng.choice(table_keys(table)))
             work.remove_pair_edges(x, y)
             update_after_removal(table, work, x, y)
         assert table._build_order is None
         table._select_min_random(random.Random(0))
-        counts = table._counts
-
         def live(f, order):
-            return [z for z in order if z > f and table._key(f, z) in counts]
+            return [z for z in order if z > f and z in table._mn[f]]
 
         rebuilt_differs = 0
         for f in range(net.node_count):
@@ -853,6 +908,54 @@ class TestRandomSelection:
             rebuilt_differs += live(f, table._rebuilt(f)) != built
         # the input tells the two orders apart
         assert rebuilt_differs
+
+
+    def test_first_listing_is_the_build_walk(self):
+        # the first draw lists the value-0 keys, and after early repairs
+        # each node's build order, as a walk of the nodes ascending, each
+        # over its query set of the network as built, keeping the later
+        # neighbours it is still joined to
+        rng = random.Random(45)
+        nets = [random_network(rng, max_nodes=28, max_layers=2) for _ in range(12)]
+        nets += [
+            generate_planted(
+                PlantedParams(sizes=(15,) * 3, layers=2, p_in=0.5, p_out=0.05, seed=s)
+            ).network
+            for s in range(3)
+        ]
+        seen = Counter()
+        for net in nets:
+            labels = net.nodes()
+            for alpha in range(1, net.layer_count + 1):
+                work = net.copy()
+                table = clecc_table(work, alpha)
+                repairs = rng.randrange(len(table) // 2 + 1)
+                for _ in range(repairs):
+                    x, y = rng.choice(table.pairs())
+                    work.remove_pair_edges(x, y)
+                    update_after_removal(table, work, x, y)
+                if not len(table):
+                    continue
+                table._select_min_random(random.Random(0))
+                walk = []
+                for i in range(net.node_count):
+                    joined = work._mn_idx(i, alpha)
+                    walk.append([j for j in net._mn_idx(i, alpha) if j > i and j in joined])
+                zeros = [
+                    table._key(i, j)
+                    for i, later in enumerate(walk)
+                    for j in later
+                    if clecc(work, labels[i], labels[j], alpha) == 0
+                ]
+                assert list(table._zeros) == zeros
+                seen["zeros"] += len(zeros) > 1
+                if repairs:
+                    assert table._build_order == walk
+                    seen["early repairs"] += 1
+                else:
+                    assert table._build_order is None
+                    seen["no repair"] += 1
+        assert min(seen[k] for k in ("zeros", "early repairs", "no repair")) >= 5, seen
 
 
 class TestExactness:

@@ -157,10 +157,10 @@ class TestFlattenAlpha:
                     assert flat[x] == net.multilayer_neighborhood(x, alpha)
 
     def test_adjacency_lists_each_neighbourhood_in_query_order(self):
-        # the adjacency and the table's sets hold each neighbourhood; the
+        # the query sets and the table's maps hold each neighbourhood; the
         # query order SeededRandom draws read lives in the query sets and
-        # in the table counts' insertion order, a walk of each node's
-        # query.  Small ints iterate in index order in a table wider than
+        # in the maps' insertion order, each count under both nodes of
+        # its pair.  Small ints iterate in index order in a table wider than
         # n, so the networks are sparse
         rng = random.Random(6)
         for _ in range(5):
@@ -171,16 +171,28 @@ class TestFlattenAlpha:
                     if not net.has_edge(f"n{a}", f"n{b}", layer):
                         net.add_edge(f"n{a}", f"n{b}", layer)
             for alpha in range(1, net.layer_count + 1):
-                adjacency = net._alpha_adjacency(alpha)
+                adjacency = list(net._query_sets(alpha))
                 assert len(adjacency) == net.node_count
                 queries = [net._mn_idx(i, alpha) for i in range(net.node_count)]
                 assert adjacency == queries
                 for i, query in enumerate(net._query_sets(alpha)):
                     assert list(query) == list(queries[i])
                 table = clecc_table(net, alpha)
-                assert table._mn == queries
-                walk = [table._key(i, j) for i, q in enumerate(queries) for j in q if j > i]
-                assert list(table._counts) == walk
+                assert [list(mn_i) for mn_i in table._mn] == [list(q) for q in queries]
+                walk = [
+                    (table._key(i, j), len(q & queries[j]))
+                    for i, q in enumerate(queries)
+                    for j in q
+                    if j > i
+                ]
+                assert [
+                    (table._key(i, j), c)
+                    for i, mn_i in enumerate(table._mn)
+                    for j, c in mn_i.items()
+                    if j > i
+                ] == walk
+                mn = table._mn
+                assert all(mn[j][i] == c for i, mn_i in enumerate(mn) for j, c in mn_i.items())
 
 
 class TestRemovePairEdges:
@@ -252,7 +264,7 @@ class TestConnectedComponents:
 
     def test_barbell_bridge(self):
         net = barbell()
-        adj = net._alpha_adjacency(1)
+        adj = list(net._query_sets(1))
         forest = _SpanningForest(adj)
         a, b, c, d = (net.node_index(x) for x in "abcd")
         # the path through c still joins a and b
