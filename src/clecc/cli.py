@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from itertools import count, islice
 from pathlib import Path
@@ -324,18 +325,31 @@ def _emit(body: str | Callable[[TextIO], None], handle: TextIO) -> None:
 
 
 def _write_files(files: dict[str, str | Callable[[TextIO], None]]) -> None:
-    """Write every file of a command, or leave each target as it was.
+    """Write every file of a command, or leave each target it replaces as it was.
 
-    Each body goes to a new file beside its target.  Once every body is
-    written, each new file is moved onto its target with ``os.replace``;
-    on any failure before that, the new files are removed.
+    A body whose target can be replaced losing nothing (``_replaceable``)
+    goes to a new file beside it.  Once every body is written, each new
+    file is moved onto its target with ``os.replace``; on any failure
+    before that, the new files are removed.  Any other target is written
+    in place, as ``open(path, "w")`` writes it.
     """
     made: list[tuple[str, str]] = []
     try:
         for path, body in files.items():
-            target, temp, fd = _new_file_beside(path)
-            made.append((temp, target))
-            with open(fd, "w", encoding="utf-8") as handle:
+            found = _replaceable(path)
+            if found is None:
+                handle, old = open(path, "w", encoding="utf-8"), None
+            else:
+                target, old = found
+                # private until it takes the old file's mode below
+                temp, fd = _new_file_beside(target, path, 0o666 if old is None else 0o600)
+                made.append((temp, target))
+                handle = open(fd, "w", encoding="utf-8")
+            with handle:
+                if old is not None:  # the old file's mode and group
+                    os.fchmod(fd, old.st_mode & 0o777)
+                    if os.fstat(fd).st_gid != old.st_gid:
+                        os.fchown(fd, -1, old.st_gid)
                 _emit(body, handle)
         for temp, target in made:
             os.replace(temp, target)
@@ -348,23 +362,54 @@ def _write_files(files: dict[str, str | Callable[[TextIO], None]]) -> None:
         raise
 
 
-def _new_file_beside(path: str) -> tuple[str, str, int]:
-    """A new file beside ``path``'s target: the target, the file's name and descriptor.
+def _replaceable(path: str) -> tuple[str, os.stat_result | None] | None:
+    """The file ``path`` names and its status (None if new), if replacing it loses nothing.
 
-    As ``open(path, "w")`` would, this writes through a symbolic link
-    and keeps an existing file's mode; a new one gets 0666.  The umask
-    applies to either.
+    That holds for a new file, or a regular file with no other link that
+    this process owns and may write, whose group is one of its own, in
+    a directory this process may write.  For anything else (a device
+    such as ``os.devnull``, a pipe, a ``/dev/stdout`` that names no file
+    of its own, a file that is read-only to this process or shared by
+    hard links) this returns None.  A symbolic link is followed.
     """
     target = os.path.realpath(path)
     try:
-        mode = os.stat(target).st_mode & 0o777
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
     except OSError:
-        mode = 0o666
+        return None
+    if old is not None:
+        try:
+            same = os.path.samestat(old, os.stat(target))
+        except OSError:
+            return None
+        if not (
+            same
+            and stat.S_ISREG(old.st_mode)
+            and old.st_nlink == 1
+            and old.st_uid == os.geteuid()
+            and old.st_gid in (os.getegid(), *os.getgroups())
+            and os.access(target, os.W_OK)
+        ):
+            return None
+    if not os.access(os.path.dirname(target), os.W_OK | os.X_OK):
+        return None
+    return target, old
+
+
+def _new_file_beside(target: str, path: str, mode: int) -> tuple[str, int]:
+    """A new file in ``target``'s directory: its name and descriptor.
+
+    It is made with ``mode`` less the umask; 0666 is what
+    ``open(path, "w")`` gives a new file.  An error names ``path``, the
+    path given.
+    """
     directory, name = os.path.split(target)
     for n in count():
         temp = os.path.join(directory, f".{name}.{os.getpid()}.{n}.tmp")
         try:
-            return target, temp, os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+            return temp, os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
         except FileExistsError:
             continue
         except OSError as exc:

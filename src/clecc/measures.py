@@ -112,10 +112,8 @@ of keys by value:
   set).  The set has not changed since, so it is rebuilt only when a
   draw needs it.  A key that no counted repair touched keeps its build
   place: its smaller node, then the other's place in that node's build
-  walk.  While no repair came before the first draw, as in every
-  detector run, that node's map and link map are as built, so a
-  rebuilt set lists the walk.  Otherwise the first draw copies each
-  node's build order out of the maps, once (``_build_order``).
+  walk, which is that node's map as it stands, since a map keeps the
+  order of what it has left.
 
 A draw at a positive minimum m reads the live keys at m off the lower
 bound heap (see ``_min_ties``), sorts them by place and picks by
@@ -252,10 +250,6 @@ class CleccTable:
         self._zeros: dict[int, None] | None = None
         self._touched: list[int] = []
         self._repairs = 0
-        # whether a repair ran before the first random draw; if one did,
-        # that draw copies each node's build order out of the maps
-        self._early_repair = False
-        self._build_order: list[list[int]] | None = None
 
     # -- public, label-based ------------------------------------------
 
@@ -360,12 +354,10 @@ class CleccTable:
     def _listed(self, t: int, f: int) -> Iterable[int]:
         """Neighbours of f, in the order a draw lists f's keys last touched at repair t.
 
-        A rebuilt ``MN(f)``, except for untouched keys (t = 0) after a
-        repair that came before the first draw (see the module docstring).
+        A rebuilt ``MN(f)``; for untouched keys (t = 0), f's map in its
+        build order (see the module docstring).
         """
-        if t or self._build_order is None:
-            return self._rebuilt(f)
-        return self._build_order[f]
+        return self._rebuilt(f) if t else self._mn[f]
 
     def _select_min_lex(self) -> int:
         """Key of the smallest (value, key), from the lazy lower-bound heap.
@@ -414,9 +406,6 @@ class CleccTable:
                 if j > i and not c and len(mn_i) + len(mn[j]) > 2
             }
             self._touched = [0] * self._n
-            if self._early_repair:
-                # a rebuilt MN(f) of a network that lost pairs can list another
-                self._build_order = [[j for j in mn_i if j > i] for i, mn_i in enumerate(mn)]
         if zeros:
             return next(islice(zeros, rng.randrange(len(zeros)), None))
         ties = self._min_ties()
@@ -620,8 +609,6 @@ def _repair(table: CleccTable, pair: tuple[int, int]) -> None:
         zeros.pop(table._key(i, j), None)
         table._repairs += 1
         table._touched[i] = table._touched[j] = table._repairs
-    else:
-        table._early_repair = True
     heappush, nn = heapq.heappush, n * n
     shared = mn[i].keys() & mn[j].keys()
     for e in pair:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -161,6 +162,75 @@ def test_output_through_a_link_keeps_the_file_mode(barbell_csv, tmp_path):
     assert link.is_symlink() and json.loads(real.read_text())["groups"]
     assert real.stat().st_mode & 0o777 == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["barbell.csv", "link.json", "real.json"]
+
+
+def detect_to(barbell_csv, output) -> int:
+    return cli_main(["detect", "--input", barbell_csv, "--alpha", "1", "--output", str(output)])
+
+
+def test_output_to_the_null_device_keeps_the_device(barbell_csv, capsys):
+    # a device is written in place, never replaced by a regular file
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert detect_to(barbell_csv, os.devnull) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert capsys.readouterr().out == ""
+    left = os.listdir(os.path.dirname(os.devnull))
+    assert not [name for name in left if name.endswith(".tmp")]
+
+
+def test_output_keeps_the_exact_mode(barbell_csv, tmp_path):
+    # a mode the umask would mask stays as it was
+    dest = tmp_path / "out.json"
+    dest.write_text("earlier\n")
+    dest.chmod(0o664)
+    umask = os.umask(0o022)
+    try:
+        assert detect_to(barbell_csv, dest) == 0
+    finally:
+        os.umask(umask)
+    assert dest.stat().st_mode & 0o777 == 0o664 and json.loads(dest.read_text())["groups"]
+
+
+def test_read_only_output_is_written_as_open_would(barbell_csv, tmp_path, capsys):
+    # refused where open(path, "w") is refused, and left as it was;
+    # written where it may be written, still read-only
+    dest = tmp_path / "out.json"
+    dest.write_text("earlier\n")
+    dest.chmod(0o444)
+    writable = os.access(dest, os.W_OK)
+    code = detect_to(barbell_csv, dest)
+    err = capsys.readouterr().err
+    if writable:
+        assert code == 0 and json.loads(dest.read_text())["groups"]
+    else:
+        assert code == 2 and err.startswith("error: ") and str(dest) in err
+        assert dest.read_text() == "earlier\n"
+    assert dest.stat().st_mode & 0o777 == 0o444
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["barbell.csv", "out.json"]
+
+
+def test_output_keeps_hard_links(barbell_csv, tmp_path):
+    dest, other = tmp_path / "out.json", tmp_path / "other.json"
+    dest.write_text("earlier\n")
+    os.link(dest, other)
+    assert detect_to(barbell_csv, dest) == 0
+    assert os.path.samefile(dest, other) and json.loads(other.read_text())["groups"]
+
+
+def test_output_in_a_read_only_directory(barbell_csv, tmp_path):
+    # a writable file in a directory that takes no new file is written
+    # in place
+    directory = tmp_path / "fixed"
+    directory.mkdir()
+    dest = directory / "out.json"
+    dest.write_text("earlier\n")
+    directory.chmod(0o555)
+    try:
+        assert detect_to(barbell_csv, dest) == 0
+        assert json.loads(dest.read_text())["groups"]
+        assert [p.name for p in directory.iterdir()] == ["out.json"]
+    finally:
+        directory.chmod(0o755)
 
 
 @pytest.mark.parametrize("validity", ["bogus", "min-size:0", "min-size:x"])

@@ -6,6 +6,7 @@ import pytest
 
 from clecc import (
     AlphaOutOfRangeError,
+    CleccTable,
     DetectionConfig,
     EmptyNetworkError,
     EmptyTableError,
@@ -16,6 +17,7 @@ from clecc import (
     SeededRandom,
     StrongCommunity,
     WeakCommunity,
+    clecc,
     clecc_table,
     generate_planted,
     run_detection,
@@ -327,7 +329,7 @@ class TestSelectionStructures:
             net.remove_pair_edges(*pair)
             update_after_removal(table, net, *pair)
         assert table._zeros is None and table._bounds is not None
-        assert table._build_order is None
+        assert table._touched == [] and not table._repairs
 
     def test_lex_run_builds_no_value_buckets(self, monkeypatch):
         # lex detection keeps only its lower-bound heap; random ties also
@@ -339,6 +341,17 @@ class TestSelectionStructures:
             return tables[-1]
 
         monkeypatch.setattr(detection, "clecc_table", recording_table)
+        first = []  # the value-0 keys as the first random draw lists them
+        draw = CleccTable._select_min_random
+
+        def recording_draw(table, rng):
+            starts = table._zeros is None
+            key = draw(table, rng)
+            if starts:
+                first.append(list(table._zeros))
+            return key
+
+        monkeypatch.setattr(CleccTable, "_select_min_random", recording_draw)
         net = generate_planted(
             PlantedParams(sizes=(12,) * 4, layers=2, p_in=0.4, p_out=0.03, seed=9)
         ).network
@@ -349,6 +362,13 @@ class TestSelectionStructures:
         assert len(lex) == len(seeded) == 0
         assert lex._zeros is None and lex._bounds is not None and not lex._repairs
         assert seeded._zeros == {} and seeded._bounds is not None and seeded._repairs
-        # the detector draws before its first repair, so no draw copies
-        # the build order out of the maps
-        assert lex._build_order is None and seeded._build_order is None
+        # the detector draws before its first repair, so that draw lists
+        # the value-0 keys of the network as built, in its build walk
+        labels = net.nodes()
+        built = [
+            seeded._key(i, j)
+            for i in range(net.node_count)
+            for j in net._mn_idx(i, 1)
+            if j > i and clecc(net, labels[i], labels[j], 1) == 0
+        ]
+        assert len(built) > 1 and first == [built]

@@ -192,13 +192,14 @@ def draw_case(rng: random.Random) -> tuple[list, dict[str, bytes]]:
 def cases(seed: int = SEED, count: int = CASES):
     rng = random.Random(seed)
     drawn = [draw_case(rng) for _ in range(count)]
-    # detect and measure write to --output too, drawn from a stream of
-    # its own so that the cases above stay as they are
+    # and about 3 in 10 of the detect and measure cases again, writing
+    # to --output, chosen by a stream of their own
     outputs = random.Random(seed + 1)
-    for argv, _ in drawn:
-        if argv[:1] in (["detect"], ["measure"]) and outputs.random() < 0.3:
-            argv += ["--output", ("out",)]
-    return drawn
+    return drawn + [
+        (argv + ["--output", ("out",)], files)
+        for argv, files in drawn
+        if argv[:1] in (["detect"], ["measure"]) and outputs.random() < 0.3
+    ]
 
 
 def resolve(argv: list, files: dict[str, bytes], directory) -> list[str]:

@@ -896,25 +896,27 @@ class TestRandomSelection:
             x, y = table._labels(rng.choice(table_keys(table)))
             work.remove_pair_edges(x, y)
             update_after_removal(table, work, x, y)
-        assert table._build_order is None
-        table._select_min_random(random.Random(0))
+
         def live(f, order):
             return [z for z in order if z > f and z in table._mn[f]]
 
+        # each map already lists its build order before the draw
+        before = [live(f, table._mn[f]) for f in range(net.node_count)]
+        table._select_min_random(random.Random(0))
         rebuilt_differs = 0
         for f in range(net.node_count):
             built = live(f, net._mn_idx(f, alpha))
+            assert before[f] == built
             assert live(f, table._listed(0, f)) == built
             rebuilt_differs += live(f, table._rebuilt(f)) != built
         # the input tells the two orders apart
         assert rebuilt_differs
 
-
     def test_first_listing_is_the_build_walk(self):
-        # the first draw lists the value-0 keys, and after early repairs
-        # each node's build order, as a walk of the nodes ascending, each
-        # over its query set of the network as built, keeping the later
-        # neighbours it is still joined to
+        # the first draw lists the value-0 keys, and with or without
+        # early repairs each node's untouched keys, as a walk of the
+        # nodes ascending, each over its query set of the network as
+        # built, keeping the later neighbours it is still joined to
         rng = random.Random(45)
         nets = [random_network(rng, max_nodes=28, max_layers=2) for _ in range(12)]
         nets += [
@@ -949,12 +951,9 @@ class TestRandomSelection:
                 ]
                 assert list(table._zeros) == zeros
                 seen["zeros"] += len(zeros) > 1
-                if repairs:
-                    assert table._build_order == walk
-                    seen["early repairs"] += 1
-                else:
-                    assert table._build_order is None
-                    seen["no repair"] += 1
+                listed = [[j for j in table._listed(0, i) if j > i] for i in range(net.node_count)]
+                assert listed == walk
+                seen["early repairs" if repairs else "no repair"] += 1
         assert min(seen[k] for k in ("zeros", "early repairs", "no repair")) >= 5, seen
 
 
