@@ -271,6 +271,8 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 def _cmd_generate_planted(args) -> str | dict[str, str]:
     from .generators import PlantedParams, generate_planted
 
+    if args.truth and os.path.realpath(args.truth) == os.path.realpath(args.output):
+        raise InvalidParamsError(f"--output and --truth name the same file: {args.truth!r}")
     params = PlantedParams(
         sizes=_parse_sizes(args.sizes),
         layers=args.layers,

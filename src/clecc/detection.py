@@ -348,48 +348,33 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
         raise EmptyNetworkError("detection needs at least one node")
     table = clecc_table(net, config.alpha)
     select = _selector(table, config.tie_policy)
-    adj = table._mn
-    forest = _SpanningForest(adj)
+    forest = _SpanningForest(table._mn)
     labels, links = net._node_labels, net._links
 
-    frozen = [False] * n
     groups_idx: list[list[int]] = []
     removals: list[RemovalRecord] = []
     step = 0
 
-    def freeze(members: set[int]) -> None:
-        for v in members:
-            frozen[v] = True
-        table._freeze(members)
-        groups_idx.append(sorted(members))
-
     while len(table):
         step += 1
         key = select()
-        i, j = table._pair(key)
+        i, j = table._pair(key)  # label-sorted
         if config.log_removals:
             value, edges_removed = table._value(key), net._pair_edge_count(i, j)
             removals.append(RemovalRecord(step, table._labels(key), value, edges_removed))
         _repair(table, (i, j))
-
-        split = forest.split(i, j)
-        if split is None:
-            continue
-        comp_i, comp_j = split
-        # inspect the side holding the label-wise smaller endpoint first
-        if labels[i] <= labels[j]:
-            sides = (comp_i, comp_j)
-        else:
-            sides = (comp_j, comp_i)
-        for comp in sides:
-            # one-node sides are terminal singletons, never groups
+        # if the removal split a component, inspect the side of i, then
+        # of j; one-node sides are terminal singletons, never groups
+        for comp in forest.split(i, j) or ():
             if len(comp) > 1 and _condition_holds(config.validity, comp, links):
-                freeze(comp)
+                table._freeze(comp)
+                groups_idx.append(sorted(comp))
 
-    # the table is empty: every unfrozen node is now isolated in the
+    # the table is empty: every node in no group is now isolated in the
     # working graph, i.e. a singleton
+    grouped = {v for comp in groups_idx for v in comp}
     groups = [{labels[v] for v in comp} for comp in groups_idx]
-    singletons = [labels[v] for v in range(n) if not frozen[v]]
+    singletons = [labels[v] for v in range(n) if v not in grouped]
     return DetectionResult(
         config=config,
         groups=groups,

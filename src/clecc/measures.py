@@ -34,8 +34,8 @@ yields the derived floats in sorted pair order, each pair label-sorted.
 ``clecc_rows`` derives each float from the same count by the same
 formula and checks the same limit before its first row, so the argument
 covers its values too; it walks the nodes by label rank, as ``items``
-does, and at alpha 1 reads the link maps' key views as the
-neighbourhoods instead of copying them.
+does, over per-node maps keyed by the neighbours: at alpha 1 the link
+maps themselves, at higher alphas maps made as the table makes its own.
 
 ``clecc_table`` counts common neighbours with bitmasks where a bitmask
 is about as large as the neighbour map it sits beside, or smaller.  A
@@ -301,10 +301,9 @@ class CleccTable:
         return a * self._n + b if a < b else b * self._n + a
 
     def _pair(self, key: int) -> tuple[int, int]:
-        """Node indices of a key, smaller index first."""
+        """Node indices of a key, label-sorted."""
         lo, hi = divmod(key, self._n)
-        a, b = self._by_rank[lo], self._by_rank[hi]
-        return (a, b) if a < b else (b, a)
+        return self._by_rank[lo], self._by_rank[hi]
 
     def _labels(self, key: int) -> tuple[str, str]:
         """Node labels of a key, label-sorted."""
@@ -410,10 +409,10 @@ class CleccTable:
             return next(islice(zeros, rng.randrange(len(zeros)), None))
         ties = self._min_ties()
         pick = rng.randrange(len(ties))
-        # group the ties by (last repair, the endpoint it repaired): the
-        # pair is index-sorted, so its smaller node went first; keys
-        # untouched since the first draw sort first, by smaller node, as
-        # the maps were built
+        # group the ties by (last repair, the endpoint it repaired): a
+        # repair takes its pair's smaller node first; keys untouched
+        # since the first draw sort first, by smaller node, as the maps
+        # were built
         touched, by_rank, n = self._touched, self._by_rank, self._n
         groups: dict[tuple[int, int], list[int]] = {}
         for key in ties:
@@ -533,10 +532,10 @@ def clecc_rows(
     """The rows of ``clecc_table(net, alpha).items()``, built without a table.
 
     Same pairs, values and order; no count is stored and, at alpha 1,
-    no adjacency is copied: the link maps' key views serve as the
-    neighbourhoods.  Common neighbours are counted as ``clecc_table``
-    counts them.  The alpha range and the node limit for exact floats
-    are checked here, before the first row is asked for.
+    no adjacency is copied: the link maps serve as the neighbourhoods.
+    Common neighbours are counted as ``clecc_table`` counts them.  The
+    alpha range and the node limit for exact floats are checked here,
+    before the first row is asked for.
     """
     net._check_alpha(alpha)
     _check_float_exact(net.node_count)
@@ -546,20 +545,20 @@ def clecc_rows(
 def _rows(net: MultiLayerNetwork, alpha: int) -> Iterator[tuple[tuple[str, str], float]]:
     labels = net._node_labels
     if alpha == 1:  # every linked pair is a candidate
-        mn = [links.keys() for links in net._links]
+        mn = net._links
     else:
-        mn = list(net._query_sets(alpha))
+        mn = [dict.fromkeys(query) for query in net._query_sets(alpha)]
     by_rank, rank = _label_ranks(labels)
     bits = _bitmasks(mn)
     for i, higher in _rank_walk(mn, rank, by_rank):
-        a, label_i, bits_i = mn[i], labels[i], bits.get(i)
-        size_a = len(a)
+        keys_i, label_i, bits_i = mn[i].keys(), labels[i], bits.get(i)
+        size_i = len(keys_i)
         for j in higher:
             if bits_i is None or j not in bits:
-                c = len(a & mn[j])
+                c = len(keys_i & mn[j].keys())
             else:
                 c = (bits_i & bits[j]).bit_count()
-            yield (label_i, labels[j]), _candidate_value(c, size_a, len(mn[j]))
+            yield (label_i, labels[j]), _candidate_value(c, size_i, len(mn[j]))
 
 
 def update_after_removal(
@@ -584,22 +583,22 @@ def update_after_removal(
             f"pair ({x!r}, {y!r}) has no table entry; the table does not "
             "match the network this removal was applied to"
         )
-    _repair(table, (i, j) if i < j else (j, i))
+    _repair(table, (i, j))
     return table
 
 
 def _repair(table: CleccTable, pair: tuple[int, int]) -> None:
-    """Drop index-sorted ``pair`` from the table's adjacency, fix the rest.
+    """Drop ``pair`` from the table's adjacency, fix the rest.
 
     Each shared entry loses one common neighbour, under both its nodes,
     and its lower value goes onto the lower-bound heap if there is one.
     Every other touched entry only rises, so its bound stays valid.
     After the first random draw the repair also stamps both endpoints
     and keeps ``_zeros``: the pair leaves it, a shared entry whose count
-    reaches 0 is appended in the order a rebuilt ``MN(e)`` lists it,
-    endpoint by endpoint, and a new isolated dyad (value 1) is dropped.
+    reaches 0 is appended as a rebuilt ``MN(e)`` lists it, for the
+    smaller endpoint e first, and a new isolated dyad (value 1) is dropped.
     """
-    i, j = pair
+    i, j = pair = sorted(pair)
     mn, bounds, zeros, rank, n = (
         table._mn, table._bounds, table._zeros, table._rank, table._n
     )

@@ -269,11 +269,8 @@ class MultiLayerNetwork:
         Built key by key, so it lists its members in query order (see
         ``_query_sets``).
         """
-        links = self._links[i]
-        if alpha == 1:  # every key is linked on some layer
-            return {j for j in links}
-        even = self._even_bits
-        return {j for j, m in links.items() if ((m | m >> 1) & even).bit_count() >= alpha}
+        linked = _AlphaLinked(self._even_bits, alpha)
+        return {j for j, m in self._links[i].items() if linked[m]}
 
     def _query_sets(self, alpha: int) -> Iterator[set[int]]:
         """Each node's ``_mn_idx(i, alpha)``, made one node at a time.

@@ -543,6 +543,37 @@ def test_generate_planted_unopenable_output_writes_no_truth(tmp_path, capsys):
     assert not truth_file.exists()
 
 
+@pytest.mark.parametrize("truth", ["same", "dot", "link"])
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_generate_planted_truth_onto_output_is_usage_error(tmp_path, capsys, truth, exists):
+    edge_file = tmp_path / "net.csv"
+    if exists:
+        edge_file.write_text("kept\n")
+    truth_path = {
+        "same": str(edge_file),
+        "dot": os.path.join(str(tmp_path), ".", "net.csv"),
+        "link": str(tmp_path / "link.csv"),
+    }[truth]
+    if truth == "link":
+        os.symlink(edge_file, truth_path)
+    code = cli_main(
+        [
+            "generate", "planted", "--sizes", "6,6", "--layers", "1",
+            "--p-in", "0.9", "--p-out", "0.1", "--seed", "5",
+            "--output", str(edge_file), "--truth", truth_path,
+        ]
+    )
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("usage error: ") and out.err.count("\n") == 1
+    # no file is written: only the files made above are there
+    made = {"net.csv"} if exists else set()
+    assert set(os.listdir(tmp_path)) == made | ({"link.csv"} if truth == "link" else set())
+    if exists:
+        assert edge_file.read_text() == "kept\n"
+
+
 def test_generate_planted_bad_probability(tmp_path, capsys):
     code = cli_main(
         [

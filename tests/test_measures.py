@@ -541,6 +541,32 @@ class TestUpdateAfterRemoval:
                     update_after_removal(table, work, *pair)
                     assert table.as_dict() == clecc_table(work, alpha).as_dict()
 
+    def test_pair_order_does_not_matter(self):
+        # the repair orders its pair itself: (x, y) and (y, x) leave the
+        # same counts, the same lex pick and the same next random draw,
+        # with the random-tie bookkeeping kept from the first draw on
+        rng = random.Random(33)
+        for seed in range(6):
+            base = shuffled_labels(random_network(rng, max_nodes=28, max_layers=3), seed)
+            for alpha in range(1, base.layer_count + 1):
+                nets = [base.copy(), base.copy()]
+                tables = [clecc_table(net, alpha) for net in nets]
+                draws = [random.Random(seed), random.Random(seed)]
+                while len(tables[0]):
+                    picks = [
+                        select_min_pair(table, SeededRandom(seed), draw)
+                        for table, draw in zip(tables, draws)
+                    ]
+                    assert picks[0] == picks[1]
+                    x, y = picks[0]
+                    for net, table, pair in zip(nets, tables, [(x, y), (y, x)]):
+                        net.remove_pair_edges(*pair)
+                        update_after_removal(table, net, *pair)
+                    assert list(tables[0].items()) == list(tables[1].items())
+                    if len(tables[0]):
+                        lex = [select_min_pair(table, Lexicographic()) for table in tables]
+                        assert lex[0] == lex[1]
+
     def test_adjacency_matches_a_fresh_query(self):
         # set contents, and the iteration order of each node's rebuilt
         # set, which must be a fresh query's: SeededRandom draws read
