@@ -12,90 +12,44 @@ Also included: seeded benchmark generators with planted ground truth,
 NMI partition scoring, edge-list and JSON formats with a CLI on top,
 and deliberately naive reference implementations for cross-checking.
 
-Importing the package loads none of its modules.  Each name below, and
-each of those modules, is imported on first use (PEP 562), so a
-command-line job loads only the modules its command runs.  ``_EXPORTS``
-is the one list of public names: ``__all__``, ``dir()`` and the lazy
-lookup are all derived from it.
+Importing the package loads none of its modules.  A public name is one
+that a module of ``_MODULES`` lists in its own ``__all__``.  On first
+use (PEP 562) the modules are imported in turn until one lists the
+name, so ``from clecc import MultiLayerNetwork`` loads ``clecc.errors``
+and ``clecc.network`` only.  A command-line job imports from the modules
+themselves and loads only what its command runs.  ``__all__`` and
+``dir()`` import every module.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# the public names of each module, as its own ``__all__`` lists them
-_EXPORTS = {
-    "detection": (
-        "DetectionConfig",
-        "DetectionResult",
-        "Lexicographic",
-        "MinSize",
-        "RemovalRecord",
-        "SeededRandom",
-        "StrongCommunity",
-        "TiePolicy",
-        "ValidityCondition",
-        "WeakCommunity",
-        "parse_validity",
-        "run_detection",
-        "select_min_pair",
-        "validate_group",
-        "validity_tag",
-    ),
-    "errors": (
-        "AlphaOutOfRangeError",
-        "CleccError",
-        "DomainMismatchError",
-        "DuplicateEdgeError",
-        "EmptyNetworkError",
-        "EmptyTableError",
-        "InconsistentTableError",
-        "InvalidParamsError",
-        "MalformedLineError",
-        "MalformedPartitionError",
-        "NotAdjacentError",
-        "OracleMismatchError",
-        "SelfLoopError",
-        "TooManyNodesError",
-        "UnknownLayerError",
-        "UnknownNodeError",
-    ),
-    "evaluation": ("nmi",),
-    "formats": (
-        "ParsedEdgeList",
-        "parse_edge_list",
-        "partition_from_json",
-        "partition_to_dict",
-        "result_to_dict",
-        "write_edge_list",
-        "write_result",
-    ),
-    "generators": (
-        "PlantedNetwork",
-        "PlantedParams",
-        "demo_network",
-        "generate_density_scenario",
-        "generate_planted",
-    ),
-    "measures": ("CleccTable", "clecc", "clecc_table", "ecc", "update_after_removal"),
-    "network": ("MultiLayerNetwork",),
-    "reference": ("naive_clecc", "naive_detect"),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# the library modules, each after those it imports, so that finding a
+# name loads little beyond the module that defines it
+_MODULES = (
+    "errors", "network", "evaluation", "generators",
+    "measures", "detection", "formats", "reference",
+)
 
-__all__ = [*_HOME, "__version__"]
+
+def _module(name: str):
+    return importlib.import_module(f".{name}", __name__)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:  # a module, bound here once it is imported
-        return importlib.import_module(f".{name}", __name__)
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later lookups skip this function
-    return value
+    if name in _MODULES:  # a module, bound here once it is imported
+        return _module(name)
+    if name == "__all__":
+        names = [n for module in map(_module, _MODULES) for n in module.__all__]
+        value = globals()[name] = [*names, "__version__"]
+        return value
+    for module in () if name.startswith("_") else map(_module, _MODULES):
+        if name in module.__all__:
+            value = globals()[name] = getattr(module, name)  # later lookups skip this
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS) | set(_HOME))
+    return sorted(set(globals()) | set(_MODULES) | set(__getattr__("__all__")))

@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
 
     detect = sub.add_parser("detect", help="extract multi-layered groups")
     detect.add_argument("--input", required=True, help="edge-list CSV file")
-    detect.add_argument("--alpha", required=True, type=int, help="layer threshold")
+    detect.add_argument("--alpha", required=True, type=_alpha, help="layer threshold")
     detect.add_argument(
         "--validity",
         default="weak",
@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
 
     measure = sub.add_parser("measure", help="print CLECC values")
     measure.add_argument("--input", required=True, help="edge-list CSV file")
-    measure.add_argument("--alpha", required=True, type=int, help="layer threshold")
+    measure.add_argument("--alpha", required=True, type=_alpha, help="layer threshold")
     measure.add_argument("--pair", help="X,Y — print this pair's value only")
     _add_file_flags(measure)
     measure.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
@@ -124,6 +124,20 @@ def _build_parser() -> _Parser:
     nmi_cmd.set_defaults(handler=_cmd_eval_nmi)
 
     return parser
+
+
+def _alpha(text: str) -> int:
+    """An --alpha value: a layer count of at least 1.
+
+    The upper bound, the network's layer count, is checked once the
+    input is read.
+    """
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
 
 
 def _add_file_flags(command: argparse.ArgumentParser) -> None:

@@ -104,6 +104,8 @@ class SeededRandom(FrozenRecord):
 
     def __init__(self, seed: int):
         self._set_fields(seed)
+        if seed < 0:  # random.Random(-s) draws what random.Random(s) draws
+            raise InvalidParamsError(f"seed must be >= 0, got {seed}")
 
 
 TiePolicy = Union[Lexicographic, SeededRandom]

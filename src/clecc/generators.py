@@ -70,6 +70,8 @@ class PlantedParams(FrozenRecord):
         for name, p in (("p_in", p_in), ("p_out", p_out)):
             if not 0.0 <= p <= 1.0:
                 raise InvalidParamsError(f"{name} must lie in [0, 1], got {p}")
+        if seed < 0:  # random.Random(-s) draws what random.Random(s) draws
+            raise InvalidParamsError(f"seed must be >= 0, got {seed}")
 
 
 class PlantedNetwork(FrozenRecord):
@@ -139,6 +141,8 @@ def generate_density_scenario(seed: int) -> MultiLayerNetwork:
     layer) triples — the setting where tuning alpha between 1 and 4
     changes which ties count as multi-layered.
     """
+    if seed < 0:  # random.Random(-s) draws what random.Random(s) draws
+        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
     n = 1000
     labels = [f"n{i:03d}" for i in range(n)]
     rng = random.Random(seed)

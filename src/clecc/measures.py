@@ -345,7 +345,7 @@ class CleccTable:
 
         Built key by key: ``_mn[i]`` holds the members in build order,
         and a query of fewer members can iterate in another (see
-        ``MultiLayerNetwork._query_sets``).
+        ``MultiLayerNetwork._query_maps``).
         """
         mn_i = self._mn[i]
         return {z for z in self._links[i] if z in mn_i}
@@ -512,7 +512,7 @@ def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
     net._check_alpha(alpha)
     # each map lists its node's neighbours in query order, the order
     # random draws list untouched pairs in
-    mn: list[dict[int, int]] = [dict.fromkeys(query) for query in net._query_sets(alpha)]
+    mn: list[dict[int, int]] = list(net._query_maps(alpha))
     table = CleccTable(alpha, net._node_index, net._node_labels, net._links, mn)
     bits = _bitmasks(mn)
     for i, mn_i in enumerate(mn):
@@ -547,7 +547,7 @@ def _rows(net: MultiLayerNetwork, alpha: int) -> Iterator[tuple[tuple[str, str],
     if alpha == 1:  # every linked pair is a candidate
         mn = net._links
     else:
-        mn = [dict.fromkeys(query) for query in net._query_sets(alpha)]
+        mn = list(net._query_maps(alpha))
     by_rank, rank = _label_ranks(labels)
     bits = _bitmasks(mn)
     for i, higher in _rank_walk(mn, rank, by_rank):

@@ -105,6 +105,57 @@ def test_measure_alpha_out_of_range(tmp_path, capsys):
     assert "[1, 3]" in out.err
 
 
+@pytest.mark.parametrize("command", ["detect", "measure"])
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+@pytest.mark.parametrize("source", ["file", "missing"])
+def test_alpha_below_one_is_usage_error(barbell_csv, tmp_path, capsys, command, alpha, source):
+    # refused while the flags are parsed: the input is not opened and an
+    # existing output is left as it was
+    path = barbell_csv if source == "file" else str(tmp_path / "missing.csv")
+    output = tmp_path / "out.txt"
+    output.write_bytes(b"earlier output\n")
+    for extra in ([], ["--output", str(output)]):
+        code = cli_main([command, "--input", path, "--alpha", alpha, *extra])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        message = f"must be an integer of at least 1, got {alpha!r}"
+        assert out.err == f"usage error: argument --alpha: {message}\n"
+        assert output.read_bytes() == b"earlier output\n"
+
+
+def seed_argv(command: str, seed: str, tmp_path, source: str) -> list[str]:
+    """A run of ``command`` that draws from ``--seed``, writing under ``tmp_path``."""
+    output = ["--output", str(tmp_path / "out.txt")]
+    return {
+        "detect": ["detect", "--input", source, "--alpha", "1", "--ties", "random"],
+        "planted": [
+            "generate", "planted", "--sizes", "6,6", "--layers", "1",
+            "--p-in", "0.9", "--p-out", "0.1", "--truth", str(tmp_path / "truth.json"),
+        ],
+        "scenario4": ["generate", "scenario4"],
+    }[command] + ["--seed", seed, *output]
+
+
+@pytest.mark.parametrize("command", ["detect", "planted", "scenario4"])
+@pytest.mark.parametrize("seed", ["-5", "-1"])
+def test_negative_seed_is_usage_error(barbell_csv, tmp_path, capsys, command, seed):
+    # random.Random(-5) would draw what random.Random(5) draws; the seed is
+    # refused before any input is read, even a missing one, or anything made
+    for source in (barbell_csv, str(tmp_path / "missing.csv")):
+        code = cli_main(seed_argv(command, seed, tmp_path, source))
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert out.err == f"usage error: seed must be >= 0, got {seed}\n"
+        assert not (tmp_path / "out.txt").exists()
+        assert not (tmp_path / "truth.json").exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "planted", "scenario4"])
+def test_seed_zero_is_a_seed(barbell_csv, tmp_path, command):
+    assert cli_main(seed_argv(command, "0", tmp_path, barbell_csv)) == 0
+    assert (tmp_path / "out.txt").stat().st_size
+
+
 def test_detect_random_needs_seed(barbell_csv, capsys):
     code = cli_main(["detect", "--input", barbell_csv, "--alpha", "1", "--ties", "random"])
     out = capsys.readouterr()

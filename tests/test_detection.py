@@ -303,13 +303,13 @@ class TestSelectionStructures:
     def test_run_builds_one_alpha_adjacency(self, monkeypatch, validity):
         # the table's working graph is the only one; validity reads the input
         built = []
-        original = MultiLayerNetwork._query_sets
+        original = MultiLayerNetwork._query_maps
 
         def counting(net, alpha):
             built.append(alpha)
             return original(net, alpha)
 
-        monkeypatch.setattr(MultiLayerNetwork, "_query_sets", counting)
+        monkeypatch.setattr(MultiLayerNetwork, "_query_maps", counting)
         net = generate_planted(
             PlantedParams(sizes=(12,) * 4, layers=2, p_in=0.6, p_out=0.03, seed=9)
         ).network

@@ -102,6 +102,11 @@ class TestDensityScenario:
         assert again.edge_count == 110_000
         assert sorted(again.edges()) == sorted(net.edges())
 
+    def test_negative_seed_is_rejected(self):
+        # random.Random(-5) would draw exactly what random.Random(5) draws
+        with pytest.raises(InvalidParamsError, match="seed must be >= 0, got -5"):
+            generate_density_scenario(-5)
+
 
 def _sha(value) -> str:
     text = value if isinstance(value, str) else repr(value)

@@ -336,7 +336,7 @@ class TestCountingBranches:
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_only_hubs_get_bitmasks(self, alpha):
         net = hub_path()
-        masked = _bitmasks(list(net._query_sets(alpha)))
+        masked = _bitmasks(list(net._query_maps(alpha)))
         assert sorted(net.nodes()[i] for i in masked) == ["h0", "h1", "h2", "h3"]
 
     @pytest.mark.parametrize("alpha", [1, 2])
@@ -404,13 +404,13 @@ class TestRows:
         for seed in range(20):
             net = shuffled_labels(random_network(rng, max_nodes=32, max_layers=4), seed)
             self.assert_rows_equal_table(net)
-        assert _bitmasks(list(net._query_sets(1)))
+        assert _bitmasks(list(net._query_maps(1)))
 
     def test_sparse_inputs_take_the_set_branch(self):
         rng = random.Random(52)
         for seed in range(3):
             net = shuffled_labels(sparse_network(rng), seed)
-            assert _bitmasks(list(net._query_sets(1))) == {}
+            assert _bitmasks(list(net._query_maps(1))) == {}
             self.assert_rows_equal_table(net)
 
     def test_mixed_input_takes_both_branches(self):
@@ -583,8 +583,8 @@ class TestUpdateAfterRemoval:
                     pair = rng.choice(table.pairs())
                     work.remove_pair_edges(*pair)
                     update_after_removal(table, work, *pair)
-                    fresh = list(work._query_sets(alpha))
-                    assert [mn_v.keys() for mn_v in table._mn] == fresh
+                    fresh = list(work._query_maps(alpha))
+                    assert [mn_v.keys() for mn_v in table._mn] == [q.keys() for q in fresh]
                     rebuilt = [list(table._rebuilt(v)) for v in range(len(fresh))]
                     assert rebuilt == [list(work._mn_idx(v, alpha)) for v in range(len(fresh))]
 

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,10 @@ from clecc import (
     SelfLoopError,
     UnknownLayerError,
     UnknownNodeError,
+    PlantedParams,
     clecc_table,
     demo_network,
+    generate_planted,
 )
 from clecc.detection import _SpanningForest
 from conftest import barbell, random_network, reciprocal, toy2
@@ -157,8 +160,8 @@ class TestFlattenAlpha:
                     assert flat[x] == net.multilayer_neighborhood(x, alpha)
 
     def test_adjacency_lists_each_neighbourhood_in_query_order(self):
-        # the query sets and the table's maps hold each neighbourhood; the
-        # query order SeededRandom draws read lives in the query sets and
+        # the query maps and the table's maps hold each neighbourhood; the
+        # query order SeededRandom draws read lives in the query maps and
         # in the maps' insertion order, each count under both nodes of
         # its pair.  Small ints iterate in index order in a table wider than
         # n, so the networks are sparse
@@ -171,11 +174,11 @@ class TestFlattenAlpha:
                     if not net.has_edge(f"n{a}", f"n{b}", layer):
                         net.add_edge(f"n{a}", f"n{b}", layer)
             for alpha in range(1, net.layer_count + 1):
-                adjacency = list(net._query_sets(alpha))
+                adjacency = list(net._query_maps(alpha))
                 assert len(adjacency) == net.node_count
                 queries = [net._mn_idx(i, alpha) for i in range(net.node_count)]
-                assert adjacency == queries
-                for i, query in enumerate(net._query_sets(alpha)):
+                assert [query.keys() for query in adjacency] == queries
+                for i, query in enumerate(net._query_maps(alpha)):
                     assert list(query) == list(queries[i])
                 table = clecc_table(net, alpha)
                 assert [list(mn_i) for mn_i in table._mn] == [list(q) for q in queries]
@@ -193,6 +196,26 @@ class TestFlattenAlpha:
                 ] == walk
                 mn = table._mn
                 assert all(mn[j][i] == c for i, mn_i in enumerate(mn) for j, c in mn_i.items())
+
+    @pytest.mark.parametrize("layers, p_in", [(2, 0.4), (3, 0.55)])
+    def test_small_maps_are_not_presized(self, layers, p_in):
+        # at alpha >= 2 a neighbourhood often holds a few nodes or none;
+        # a map presized from its set (dict.fromkeys) is larger there
+        # than one grown key by key, which lists the keys in the same order
+        net = generate_planted(
+            PlantedParams(sizes=(12,) * 4, layers=layers, p_in=p_in, p_out=0.05, seed=3)
+        ).network
+        alpha = layers
+        queries = [net._mn_idx(i, alpha) for i in range(net.node_count)]
+        seen = set()
+        for maps in (clecc_table(net, alpha)._mn, list(net._query_maps(alpha))):
+            for query, mn_i in zip(queries, maps):
+                if len(query) <= 4:
+                    grown = {j: None for j in query}
+                    assert list(mn_i) == list(grown)
+                    assert sys.getsizeof(mn_i) <= sys.getsizeof(grown), len(query)
+                    seen.add(len(query))
+        assert seen == {0, 1, 2, 3, 4}
 
 
 class TestRemovePairEdges:
@@ -264,7 +287,7 @@ class TestConnectedComponents:
 
     def test_barbell_bridge(self):
         net = barbell()
-        adj = list(net._query_sets(1))
+        adj = [set(query) for query in net._query_maps(1)]
         forest = _SpanningForest(adj)
         a, b, c, d = (net.node_index(x) for x in "abcd")
         # the path through c still joins a and b

@@ -106,6 +106,23 @@ def test_modules_are_attributes_on_first_use(bare):
     }
 
 
+def test_from_import_loads_the_home_module_and_its_imports(bare):
+    added = loaded_modules("import runpy\nfrom clecc import MultiLayerNetwork") - bare
+    assert {m for m in added if m.startswith("clecc")} == {
+        "clecc",
+        "clecc.errors",
+        "clecc.network",
+    }
+
+
+def test_private_names_load_no_submodule(bare):
+    code = (
+        "import runpy\nimport clecc\n"
+        "assert not hasattr(clecc, '_EXPORTS') and not hasattr(clecc, '__wrapped__')"
+    )
+    assert loaded_modules(code) - bare == {"clecc"}
+
+
 def test_import_cli_stays_within_budget(bare):
     added = loaded_modules("import runpy\nimport clecc.cli") - bare
     assert "clecc.detection" in added  # the probe sees the package's imports

@@ -197,9 +197,23 @@ class TestConstructors:
         with pytest.raises(InvalidParamsError, match=f"MinSize needs k >= 1, got {k}"):
             MinSize(k)
 
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_seeded_random_below_zero_is_rejected(self, seed):
+        # random.Random(-s) would draw exactly what random.Random(s) draws
+        with pytest.raises(InvalidParamsError, match=f"seed must be >= 0, got {seed}"):
+            SeededRandom(seed)
+        assert SeededRandom(0).seed == 0
+
     @pytest.mark.parametrize(
         "changes",
-        [{"sizes": ()}, {"sizes": (2, 0)}, {"layers": 0}, {"p_in": 1.5}, {"p_out": -0.1}],
+        [
+            {"sizes": ()},
+            {"sizes": (2, 0)},
+            {"layers": 0},
+            {"p_in": 1.5},
+            {"p_out": -0.1},
+            {"seed": -1},
+        ],
     )
     def test_planted_params_checks(self, changes):
         kwargs = dict(sizes=(2, 3), layers=1, p_in=0.5, p_out=0.25, seed=4)
