@@ -70,9 +70,17 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    detect = sub.add_parser("detect", help="extract multi-layered groups")
-    detect.add_argument("--input", required=True, help="edge-list CSV file")
-    detect.add_argument("--alpha", required=True, type=_alpha, help="layer threshold")
+    # the edge-list reading flags of the commands that take --input
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--input", required=True, help="edge-list CSV file")
+    reads.add_argument("--alpha", required=True, type=_alpha, help="layer threshold")
+    reads.add_argument("--delimiter", default=",", help="edge-list field separator")
+    reads.add_argument(
+        "--dedupe", action="store_true", help="drop duplicate edges instead of failing"
+    )
+    reads.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
+
+    detect = sub.add_parser("detect", parents=[reads], help="extract multi-layered groups")
     detect.add_argument(
         "--validity",
         default="weak",
@@ -86,16 +94,10 @@ def _build_parser() -> _Parser:
     detect.add_argument(
         "--log-removals", action="store_true", help="include the removal log"
     )
-    _add_file_flags(detect)
-    detect.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     detect.set_defaults(handler=_cmd_detect)
 
-    measure = sub.add_parser("measure", help="print CLECC values")
-    measure.add_argument("--input", required=True, help="edge-list CSV file")
-    measure.add_argument("--alpha", required=True, type=_alpha, help="layer threshold")
+    measure = sub.add_parser("measure", parents=[reads], help="print CLECC values")
     measure.add_argument("--pair", help="X,Y — print this pair's value only")
-    _add_file_flags(measure)
-    measure.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     measure.set_defaults(handler=_cmd_measure)
 
     generate = sub.add_parser("generate", help="write synthetic networks")
@@ -138,14 +140,6 @@ def _alpha(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-
-
-def _add_file_flags(command: argparse.ArgumentParser) -> None:
-    """Edge-list reading flags shared by the commands that take --input."""
-    command.add_argument("--delimiter", default=",", help="edge-list field separator")
-    command.add_argument(
-        "--dedupe", action="store_true", help="drop duplicate edges instead of failing"
-    )
 
 
 def _read_network(args):
@@ -285,7 +279,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 def _cmd_generate_planted(args) -> str | dict[str, str]:
     from .generators import PlantedParams, generate_planted
 
-    if args.truth and os.path.realpath(args.truth) == os.path.realpath(args.output):
+    if args.truth and _same_file(args.truth, args.output):
         raise InvalidParamsError(f"--output and --truth name the same file: {args.truth!r}")
     params = PlantedParams(
         sizes=_parse_sizes(args.sizes),
@@ -300,6 +294,18 @@ def _cmd_generate_planted(args) -> str | dict[str, str]:
         return edges
     truth_doc = json.dumps(partition_to_dict(planted.truth_partition()), indent=2)
     return {args.output: edges, args.truth: truth_doc + "\n"}
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file.
+
+    Two paths that exist are compared by inode, so a hard link counts;
+    otherwise by their resolved paths.
+    """
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one is not there yet
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _cmd_generate_scenario(args) -> str:

@@ -353,7 +353,7 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
     forest = _SpanningForest(table._mn)
     labels, links = net._node_labels, net._links
 
-    groups_idx: list[list[int]] = []
+    groups_idx: list[set[int]] = []
     removals: list[RemovalRecord] = []
     step = 0
 
@@ -370,7 +370,7 @@ def run_detection(net: MultiLayerNetwork, config: DetectionConfig) -> DetectionR
         for comp in forest.split(i, j) or ():
             if len(comp) > 1 and _condition_holds(config.validity, comp, links):
                 table._freeze(comp)
-                groups_idx.append(sorted(comp))
+                groups_idx.append(comp)
 
     # the table is empty: every node in no group is now isolated in the
     # working graph, i.e. a singleton

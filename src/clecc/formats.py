@@ -1,17 +1,18 @@
 """Edge-list files and canonical JSON serialization of results.
 
 The edge-list format is one directed layer edge per line,
-``source<delim>target<delim>layer``, comma-delimited by default.  A
-first content line that spells exactly ``source,target,layer`` (with
-the active delimiter) is treated as a header and skipped; blank lines
-and lines starting with ``#`` are ignored, and one byte-order mark
-(U+FEFF) at the start of the first line is dropped, as spreadsheet
-"CSV UTF-8" exports write one.  Labels are opaque text and
-are never coerced to numbers, so ``01`` and ``1`` stay distinct nodes.
-There is no quoting: the delimiter, ``\\n`` and ``\\r`` cannot appear
-inside labels.  The parser builds the network through
-``MultiLayerNetwork.add_edge``, one call per record, so the link-map
-layout is known to ``network`` alone.
+``source<delim>target<delim>layer``.  The writer always separates the
+fields with commas and starts with the header line; the reader takes
+any non-empty delimiter, comma by default.  A first content line that
+spells exactly ``source,target,layer`` (with the reader's delimiter)
+is treated as a header and skipped; blank lines and lines starting
+with ``#`` are ignored, and one byte-order mark (U+FEFF) at the start
+of the first line is dropped, as spreadsheet "CSV UTF-8" exports
+write one.  Labels are opaque text and are never coerced to numbers,
+so ``01`` and ``1`` stay distinct nodes.  There is no quoting: the
+delimiter, ``\\n`` and ``\\r`` cannot appear inside labels.  The parser
+builds the network through ``MultiLayerNetwork.add_edge``, one call
+per record, so the link-map layout is known to ``network`` alone.
 
 Result JSON has a fixed key order and sorted label arrays, so two
 equal detection results always serialize to identical bytes.
@@ -53,11 +54,6 @@ _WRITE_BATCH = 4096
 _REMOVAL_BATCH = 256
 
 
-def _check_delimiter(delimiter: str) -> None:
-    if not delimiter:
-        raise InvalidParamsError("the edge-list delimiter must not be empty")
-
-
 class ParsedEdgeList(Record):
     """Outcome of reading an edge-list document."""
 
@@ -90,7 +86,8 @@ def parse_edge_list(
     triples are dropped and counted instead of raising.  An empty
     ``delimiter`` raises :class:`InvalidParamsError`.
     """
-    _check_delimiter(delimiter)
+    if not delimiter:
+        raise InvalidParamsError("the edge-list delimiter must not be empty")
     if isinstance(source, str):
         source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     lines = iter(source)
@@ -141,29 +138,25 @@ def parse_edge_list(
     )
 
 
-def write_edge_list(
-    net: MultiLayerNetwork, *, delimiter: str = ",", header: bool = True
-) -> str:
+def write_edge_list(net: MultiLayerNetwork) -> str:
     """Serialize a network as edge-list text, sorted canonically.
 
-    Re-parsing the output reproduces the exact edge multiset.  Labels
-    that are empty, have surrounding whitespace (the parser strips it),
-    or contain the delimiter, ``\\n`` or ``\\r`` (the only line breaks
-    the parser splits on), and source labels starting with ``#``, cannot
-    round-trip and are rejected, as is an empty ``delimiter``.  Without
-    ``header``, a first row that spells the header or starts with a
-    byte-order mark would not round-trip, so it is rejected too.
+    The text is comma-separated and starts with the header line, so
+    re-parsing it with the default delimiter reproduces the exact edge
+    multiset.  Labels that are empty, have surrounding whitespace (the
+    parser strips it), or contain a comma, ``\\n`` or ``\\r`` (the only
+    line breaks the parser splits on), and source labels starting with
+    ``#``, cannot round-trip and are rejected.
     """
-    _check_delimiter(delimiter)
     for label in list(net.nodes()) + list(net.layers()):
         if not label or label != label.strip():
             raise ValueError(
                 f"label {label!r} is empty or has surrounding whitespace and "
                 "cannot be written as an edge list"
             )
-        if delimiter in label or "\n" in label or "\r" in label:
+        if "," in label or "\n" in label or "\r" in label:
             raise ValueError(
-                f"label {label!r} contains the delimiter or a line break and "
+                f"label {label!r} contains a comma or a line break and "
                 "cannot be written as an edge list"
             )
     rows = sorted(net.edges())
@@ -172,16 +165,7 @@ def write_edge_list(
             raise ValueError(
                 f"source label {src!r} starts with '#' and would parse as a comment"
             )
-    if not header and rows and (
-        rows[0] == _HEADER_FIELDS or rows[0][0].startswith("\ufeff")
-    ):
-        raise ValueError(
-            f"first row {rows[0]!r} would not read back as written; "
-            "write with header=True"
-        )
-    lines = [delimiter.join(_HEADER_FIELDS)] if header else []
-    lines.extend(delimiter.join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(_HEADER_FIELDS), *map(",".join, rows)]) + "\n"
 
 
 def _header(result: DetectionResult) -> dict:
@@ -193,11 +177,15 @@ def _header(result: DetectionResult) -> dict:
         "validity": validity_tag(config.validity),
         "tie_policy": "random" if random_ties else "lex",
         "seed": config.tie_policy.seed if random_ties else None,
-        "groups": [
-            {"id": gid, "nodes": sorted(group)}
-            for gid, group in enumerate(result.groups)
-        ],
-        "singletons": sorted(result.singletons),
+        **_groups_and_singletons(map(sorted, result.groups), result.singletons),
+    }
+
+
+def _groups_and_singletons(groups: Iterable[list[str]], singletons: Iterable[str]) -> dict:
+    """The ``groups`` + ``singletons`` object: numbered sorted groups, sorted singletons."""
+    return {
+        "groups": [{"id": gid, "nodes": nodes} for gid, nodes in enumerate(groups)],
+        "singletons": sorted(singletons),
     }
 
 
@@ -298,10 +286,7 @@ def partition_to_dict(partition: Iterable[Iterable[str]]) -> dict:
             singletons.append(nodes[0])
         else:
             groups.append(nodes)
-    return {
-        "groups": [{"id": gid, "nodes": nodes} for gid, nodes in enumerate(groups)],
-        "singletons": sorted(singletons),
-    }
+    return _groups_and_singletons(groups, singletons)
 
 
 def partition_from_json(text: str) -> list[set[str]]:

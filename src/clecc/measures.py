@@ -225,7 +225,6 @@ class CleccTable:
 
     def __init__(
         self,
-        alpha: int,
         index_of: dict[str, int],
         label_of: list[str],
         links: list[dict[int, int]],
@@ -233,7 +232,6 @@ class CleccTable:
     ):
         n = len(label_of)
         _check_float_exact(n)
-        self.alpha = alpha
         self._index_of = index_of
         self._label_of = label_of
         self._n = n
@@ -513,7 +511,7 @@ def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
     # each map lists its node's neighbours in query order, the order
     # random draws list untouched pairs in
     mn: list[dict[int, int]] = list(net._query_maps(alpha))
-    table = CleccTable(alpha, net._node_index, net._node_labels, net._links, mn)
+    table = CleccTable(net._node_index, net._node_labels, net._links, mn)
     bits = _bitmasks(mn)
     for i, mn_i in enumerate(mn):
         keys_i, bits_i = mn_i.keys(), bits.get(i)

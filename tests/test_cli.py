@@ -196,11 +196,15 @@ def test_detect_output_file(barbell_csv, tmp_path, capsys):
 def test_unwritable_output_is_data_error(barbell_csv, tmp_path, capsys, argv):
     if argv[0] == "detect":
         argv = argv + ["--input", barbell_csv]
-    code = cli_main(argv + ["--output", str(tmp_path / "missing-dir" / "out")])
-    out = capsys.readouterr()
-    assert code == 2
-    assert out.out == ""
-    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    a_file = tmp_path / "a-file"
+    a_file.write_text("kept\n")
+    for dest in (tmp_path / "missing-dir" / "out", a_file / "out.json"):
+        code = cli_main(argv + ["--output", str(dest)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert a_file.read_text() == "kept\n"
 
 
 def test_output_through_a_link_keeps_the_file_mode(barbell_csv, tmp_path):
@@ -217,6 +221,16 @@ def test_output_through_a_link_keeps_the_file_mode(barbell_csv, tmp_path):
 
 def detect_to(barbell_csv, output) -> int:
     return cli_main(["detect", "--input", barbell_csv, "--alpha", "1", "--output", str(output)])
+
+
+def test_output_skips_a_temporary_name_in_use(barbell_csv, tmp_path):
+    dest = tmp_path / "out.json"
+    taken = tmp_path / f".out.json.{os.getpid()}.0.tmp"
+    taken.write_text("someone else's\n")
+    assert detect_to(barbell_csv, dest) == 0
+    assert json.loads(dest.read_text())["groups"]
+    assert taken.read_text() == "someone else's\n"
+    assert {p.name for p in tmp_path.iterdir()} == {"barbell.csv", taken.name, "out.json"}
 
 
 def test_output_to_the_null_device_keeps_the_device(barbell_csv, capsys):
@@ -594,35 +608,51 @@ def test_generate_planted_unopenable_output_writes_no_truth(tmp_path, capsys):
     assert not truth_file.exists()
 
 
-@pytest.mark.parametrize("truth", ["same", "dot", "link"])
-@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize(
+    "exists,truth",
+    [
+        pytest.param(exists, truth, id=f"{'existing' if exists else 'new'}-{truth}")
+        for exists in (False, True)
+        for truth in ("same", "dot", "link")
+    ]
+    # two names of one file, each given as --output in turn
+    + [pytest.param(True, order, id=order) for order in ("hardlink", "hardlink-swapped")],
+)
 def test_generate_planted_truth_onto_output_is_usage_error(tmp_path, capsys, truth, exists):
     edge_file = tmp_path / "net.csv"
     if exists:
         edge_file.write_text("kept\n")
-    truth_path = {
+    output, truth_path = str(edge_file), {
         "same": str(edge_file),
         "dot": os.path.join(str(tmp_path), ".", "net.csv"),
-        "link": str(tmp_path / "link.csv"),
-    }[truth]
+    }.get(truth, str(tmp_path / "link.csv"))
     if truth == "link":
         os.symlink(edge_file, truth_path)
+    elif truth.startswith("hardlink"):
+        os.link(edge_file, truth_path)
+        if truth == "hardlink-swapped":
+            output, truth_path = truth_path, output
+
+    def files():  # each name and its bytes (None for a dangling link)
+        return {
+            name: (tmp_path / name).read_bytes() if (tmp_path / name).exists() else None
+            for name in os.listdir(tmp_path)
+        }
+
+    before = files()
     code = cli_main(
         [
             "generate", "planted", "--sizes", "6,6", "--layers", "1",
             "--p-in", "0.9", "--p-out", "0.1", "--seed", "5",
-            "--output", str(edge_file), "--truth", truth_path,
+            "--output", output, "--truth", truth_path,
         ]
     )
     out = capsys.readouterr()
     assert code == 1
     assert out.out == ""
     assert out.err.startswith("usage error: ") and out.err.count("\n") == 1
-    # no file is written: only the files made above are there
-    made = {"net.csv"} if exists else set()
-    assert set(os.listdir(tmp_path)) == made | ({"link.csv"} if truth == "link" else set())
-    if exists:
-        assert edge_file.read_text() == "kept\n"
+    # no file is written: only the files made above are there, as they were
+    assert files() == before
 
 
 def test_generate_planted_bad_probability(tmp_path, capsys):

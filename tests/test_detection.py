@@ -208,6 +208,8 @@ class TestValidateGroup:
     def test_rejects_a_non_condition(self):
         with pytest.raises(TypeError):
             validate_group(barbell(), {"a", "b"}, "weak")
+        with pytest.raises(TypeError):
+            detection.validity_tag(object())
 
     @pytest.mark.parametrize("condition", [MinSize(3), WeakCommunity(), StrongCommunity()])
     def test_tag_parses_back(self, condition):
@@ -241,6 +243,8 @@ class TestSelectMinPair:
         table = clecc_table(net, 1)
         assert select_min_pair(table, Lexicographic()) == ("c", "d")
         assert select_min_pair(table, SeededRandom(0)) == ("c", "d")
+        with pytest.raises(TypeError):
+            select_min_pair(table, object())
 
     def test_lexicographic_tie(self):
         table = clecc_table(triangle(), 1)

@@ -225,8 +225,6 @@ class TestParseEdgeList:
         with pytest.raises(CleccError) as err:
             parse_edge_list("a,b,l1\n", delimiter="")
         assert "delimiter" in str(err.value) and "\n" not in str(err.value)
-        with pytest.raises(CleccError):
-            write_edge_list(demo_network(), delimiter="")
 
     def test_labels_stay_text(self):
         parsed = parse_edge_list("01,1,l1\n")
@@ -275,23 +273,21 @@ class TestWriteEdgeList:
         from clecc import MultiLayerNetwork
 
         cases = [
-            (("a,comma", "b", "l1"), True),
-            ((" a", "b", "l1"), True),
-            (("a", "b ", "l1"), True),
-            (("a", "b", "\tl1"), True),
-            (("", "b", "l1"), True),
-            (("a", "b", ""), True),
-            (("a\nz", "b", "l1"), True),
-            (("a", "b\rz", "l1"), True),
-            (("#a", "b", "l1"), True),
-            (("source", "target", "layer"), False),
-            (("\ufeffa", "b", "l1"), False),
+            ("a,comma", "b", "l1"),
+            (" a", "b", "l1"),
+            ("a", "b ", "l1"),
+            ("a", "b", "\tl1"),
+            ("", "b", "l1"),
+            ("a", "b", ""),
+            ("a\nz", "b", "l1"),
+            ("a", "b\rz", "l1"),
+            ("#a", "b", "l1"),
         ]
-        for edge, header in cases:
+        for edge in cases:
             net = MultiLayerNetwork()
             net.add_edge(*edge)
             with pytest.raises(ValueError):
-                write_edge_list(net, header=header)
+                write_edge_list(net)
 
     @pytest.mark.parametrize(
         "brk",
@@ -315,12 +311,14 @@ class TestWriteEdgeList:
             assert back.nodes() == net.nodes() and back.layers() == net.layers()
 
     def test_header_like_row_round_trips_with_header(self):
+        # with the header first, neither row is read as a header or a BOM
         from clecc import MultiLayerNetwork
 
-        net = MultiLayerNetwork()
-        net.add_edge("source", "target", "layer")
-        back = parse_edge_list(write_edge_list(net)).network
-        assert list(back.edges()) == [("source", "target", "layer")]
+        for edge in [("source", "target", "layer"), ("\ufeffa", "b", "l1")]:
+            net = MultiLayerNetwork()
+            net.add_edge(*edge)
+            back = parse_edge_list(write_edge_list(net)).network
+            assert list(back.edges()) == [edge]
 
 
 class TestWriteResult:

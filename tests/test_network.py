@@ -435,6 +435,8 @@ def _assert_matches_model(net, triples, nodes, layers):
     layer_rank = {l: k for k, l in enumerate(layers)}
     assert net.nodes() == nodes
     assert net.layers() == layers
+    assert [net.layer_label(l) for l in range(len(layers))] == layers
+    assert all(map(net.has_layer, layers)) and not net.has_layer("no such layer")
     assert net.edge_count == len(triples)
     assert list(net.edges()) == sorted(
         triples, key=lambda t: (rank[t[0]], layer_rank[t[2]], t[1])

@@ -54,6 +54,9 @@ def test_exports_are_their_home_modules_objects():
     assert set(homes) == set(clecc.__all__) - {"__version__"}
     for name, module in homes.items():
         assert getattr(clecc, name) is getattr(module, name), name
+    # how ``clecc.<module>`` is served before the module is imported
+    for module_name in LIBRARY:
+        assert clecc.__getattr__(module_name) is importlib.import_module(f"clecc.{module_name}")
     assert clecc.__version__ == "0.1.0"
 
 

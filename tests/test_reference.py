@@ -74,6 +74,11 @@ class TestNaiveDetect:
         with pytest.raises(EmptyNetworkError):
             naive_detect(MultiLayerNetwork(), DetectionConfig(alpha=1))
 
+    def test_rejects_a_non_condition(self):
+        # the barbell's first removal splits it into two triangles to judge
+        with pytest.raises(TypeError):
+            naive_detect(barbell(), DetectionConfig(alpha=1, validity="weak"))
+
     def test_random_planted_equivalence(self):
         rng = random.Random(18)
         validities = [MinSize(2), MinSize(3), WeakCommunity(), StrongCommunity()]

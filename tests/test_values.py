@@ -127,6 +127,8 @@ class TestFrozen:
         for name in ("k", "seed", "alpha", "step", "sizes", "other"):
             with pytest.raises(AttributeError):
                 setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
         assert repr(value) == FROZEN[value][0]
 
     @pytest.mark.parametrize("value", list(FROZEN), ids=FROZEN_IDS)
