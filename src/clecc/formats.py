@@ -139,7 +139,7 @@ def parse_edge_list(
 
 
 def write_edge_list(net: MultiLayerNetwork) -> str:
-    """Serialize a network as edge-list text, sorted canonically.
+    """Serialize a network as edge-list text, a row per edge in ``net.edges()`` order.
 
     The text is comma-separated and starts with the header line, so
     re-parsing it with the default delimiter reproduces the exact edge
@@ -148,24 +148,20 @@ def write_edge_list(net: MultiLayerNetwork) -> str:
     line breaks the parser splits on), and source labels starting with
     ``#``, cannot round-trip and are rejected.
     """
-    for label in list(net.nodes()) + list(net.layers()):
+    for label in [*net.nodes(), *net.layers()]:
         if not label or label != label.strip():
-            raise ValueError(
-                f"label {label!r} is empty or has surrounding whitespace and "
-                "cannot be written as an edge list"
-            )
-        if "," in label or "\n" in label or "\r" in label:
-            raise ValueError(
-                f"label {label!r} contains a comma or a line break and "
-                "cannot be written as an edge list"
-            )
-    rows = sorted(net.edges())
-    for src, _, _ in rows:
-        if src.startswith("#"):
-            raise ValueError(
-                f"source label {src!r} starts with '#' and would parse as a comment"
-            )
-    return "\n".join([",".join(_HEADER_FIELDS), *map(",".join, rows)]) + "\n"
+            problem = "is empty or has surrounding whitespace"
+        elif "," in label or "\n" in label or "\r" in label:
+            problem = "contains a comma or a line break"
+        else:
+            continue
+        raise ValueError(f"label {label!r} {problem} and cannot be written as an edge list")
+    text = "\n".join([",".join(_HEADER_FIELDS), *map(",".join, net.edges())]) + "\n"
+    at = text.find("\n#") + 1  # each line starts with its source label
+    if at:
+        source = text[at:text.index(",", at)]
+        raise ValueError(f"source label {source!r} starts with '#' and would parse as a comment")
+    return text
 
 
 def _header(result: DetectionResult) -> dict:

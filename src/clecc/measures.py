@@ -134,7 +134,7 @@ from .errors import (
     NotAdjacentError,
     TooManyNodesError,
 )
-from .network import MultiLayerNetwork
+from .network import MultiLayerNetwork, _label_ranks
 
 if TYPE_CHECKING:  # imported where used, so importing this module skips it
     from fractions import Fraction
@@ -178,13 +178,6 @@ def _bitmasks(mn: list[Collection[int]]) -> dict[int, int]:
                 buf[j >> 3] |= 1 << (j & 7)
             masks[i] = int.from_bytes(buf, "little")
     return masks
-
-
-def _label_ranks(label_of: list[str]) -> tuple[list[int], list[int]]:
-    """Node indices in label order, and each node's rank in it (the inverse)."""
-    nodes = list(range(len(label_of)))  # one int object per index, shared by both
-    by_rank = sorted(nodes, key=label_of.__getitem__)
-    return by_rank, sorted(nodes, key=by_rank.__getitem__)
 
 
 def _rank_walk(

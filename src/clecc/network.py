@@ -164,18 +164,21 @@ class MultiLayerNetwork:
         return bool(self._links[x].get(y, 0) >> 2 * l & 1)
 
     def edges(self) -> Iterator[tuple[str, str, str]]:
-        """Yield (source, target, layer) triples in a deterministic order.
+        """Yield (source, target, layer) triples in sorted label order.
 
-        Order is source registration order, then layer registration
-        order, then target label order within each layer.
+        This is ``sorted(net.edges())``, the order ``write_edge_list`` writes.
         """
-        labels = self._node_labels
-        for x, links in enumerate(self._links):
-            for l, layer in enumerate(self._layer_labels):
-                bit = 1 << 2 * l
-                targets = [y for y, m in links.items() if m & bit]
-                for y in sorted(targets, key=labels.__getitem__):
-                    yield labels[x], labels[y], layer
+        labels, layer_labels = self._node_labels, self._layer_labels
+        by_rank, rank = _label_ranks(labels)
+        layer_order = _label_ranks(layer_labels)[0]
+        # per link mask present: the labels of its outgoing layers, sorted
+        masks = set().union(*(links.values() for links in self._links))
+        outgoing = {m: [layer_labels[l] for l in layer_order if m >> 2 * l & 1] for m in masks}
+        for x in by_rank:
+            source, links = labels[x], self._links[x]
+            for y in sorted(links, key=rank.__getitem__):
+                for layer in outgoing[links[y]]:
+                    yield source, labels[y], layer
 
     def node_label(self, index: int) -> str:
         return self._node_labels[index]
@@ -213,16 +216,15 @@ class MultiLayerNetwork:
         return {labels[j] for j in self._mn_idx(i, alpha)}
 
     def project_layer(self, layer: str) -> "MultiLayerNetwork":
-        """Single-layer network with all nodes and only this layer's edges."""
-        bit = 1 << 2 * self._require_layer(layer)
+        """Single-layer network: all nodes, and this layer's edges in :meth:`edges` order."""
+        self._require_layer(layer)
         net = MultiLayerNetwork()
         for label in self._node_labels:
             net.add_node(label)
         net.add_layer(layer)
-        labels = self._node_labels
-        for x, links in enumerate(self._links):
-            for y in sorted(y for y, m in links.items() if m & bit):
-                net.add_edge(labels[x], labels[y], layer)
+        for source, target, on in self.edges():
+            if on == layer:
+                net.add_edge(source, target, layer)
         return net
 
     def copy(self) -> "MultiLayerNetwork":
@@ -295,6 +297,13 @@ class MultiLayerNetwork:
         linked = _AlphaLinked(self._even_bits, alpha)
         for links in self._links:
             yield {j: None for j in {j for j, m in links.items() if linked[m]}}
+
+
+def _label_ranks(label_of: list[str]) -> tuple[list[int], list[int]]:
+    """Indices in label order, and each index's rank in it (the inverse)."""
+    indices = list(range(len(label_of)))  # one int object per index, shared by both
+    by_rank = sorted(indices, key=label_of.__getitem__)
+    return by_rank, sorted(indices, key=by_rank.__getitem__)
 
 
 class _AlphaLinked(dict):

@@ -310,6 +310,29 @@ class TestWriteEdgeList:
             assert sorted(back.edges()) == sorted(net.edges())
             assert back.nodes() == net.nodes() and back.layers() == net.layers()
 
+    def test_names_the_first_hash_led_source(self):
+        from clecc import MultiLayerNetwork
+
+        net = MultiLayerNetwork()
+        net.add_edge("#b", "a", "l1")
+        net.add_edge("#a", "b", "l1")
+        with pytest.raises(ValueError, match=r"^source label '#a' starts with '#'"):
+            write_edge_list(net)
+
+    def test_hash_led_target_and_layer_round_trip(self):
+        # a line starts with its source, so only a source reads as a comment
+        from clecc import MultiLayerNetwork
+
+        net = MultiLayerNetwork()
+        net.add_edge("b", "#a", "#l")
+        net.add_edge("a", "#a", "l1")
+        text = write_edge_list(net)
+        assert text == "source,target,layer\na,#a,l1\nb,#a,#l\n"
+        back = parse_edge_list(text).network
+        assert list(back.edges()) == list(net.edges())
+        assert sorted(back.nodes()) == sorted(net.nodes())
+        assert sorted(back.layers()) == sorted(net.layers())
+
     def test_header_like_row_round_trips_with_header(self):
         # with the header first, neither row is read as a header or a BOM
         from clecc import MultiLayerNetwork

@@ -19,6 +19,7 @@ from clecc import (
     clecc_table,
     demo_network,
     generate_planted,
+    write_edge_list,
 )
 from clecc.detection import _SpanningForest
 from conftest import barbell, random_network, reciprocal, toy2
@@ -123,6 +124,28 @@ class TestProjectLayer:
     def test_unknown_layer(self):
         with pytest.raises(UnknownLayerError):
             demo_network().project_layer("l7")
+
+
+class TestEdgeOrder:
+    def test_edges_are_sorted_whatever_the_registration_order(self):
+        # " " < "!" < "#" < ",": joined rows would sort "a b,..." before "a,..."
+        net = MultiLayerNetwork()
+        for label in ("b", "a#", "a", "a b", "a!"):
+            net.add_node(label)
+        for layer in ("l2", "l10", "l1"):
+            net.add_layer(layer)
+        pairs = [("a#", "a"), ("a", "a b"), ("b", "a!"), ("a!", "a"), ("a b", "a#")]
+        for k, (x, y) in enumerate(pairs):
+            for layer in ("l1", "l2", "l10")[k % 2:]:
+                net.add_edge(x, y, layer)
+                net.add_edge(y, x, layer)
+        edges = list(net.edges())
+        assert len(edges) == net.edge_count
+        assert edges == sorted(edges)
+        assert write_edge_list(net).splitlines()[1:] == [",".join(e) for e in edges]
+        proj = net.project_layer("l10")
+        assert proj.nodes() == net.nodes()
+        assert list(proj.edges()) == [e for e in edges if e[2] == "l10"]
 
 
 class TestFlattenAlpha:
@@ -431,16 +454,12 @@ class TestCopy:
 
 def _assert_matches_model(net, triples, nodes, layers):
     """Every query on ``net`` agrees with the plain set of (source, target, layer)."""
-    rank = {x: k for k, x in enumerate(nodes)}
-    layer_rank = {l: k for k, l in enumerate(layers)}
     assert net.nodes() == nodes
     assert net.layers() == layers
     assert [net.layer_label(l) for l in range(len(layers))] == layers
     assert all(map(net.has_layer, layers)) and not net.has_layer("no such layer")
     assert net.edge_count == len(triples)
-    assert list(net.edges()) == sorted(
-        triples, key=lambda t: (rank[t[0]], layer_rank[t[2]], t[1])
-    )
+    assert list(net.edges()) == sorted(triples)
     linked = {}
     for x, y, layer in triples:
         linked.setdefault(frozenset((x, y)), set()).add(layer)
