@@ -466,6 +466,9 @@ def cli_main(argv: list[str]) -> int:
     except UnicodeEncodeError as exc:
         print(f"error: output cannot be encoded: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # Ctrl-C; the shell's 128 + SIGINT
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -62,15 +62,18 @@ def nmi(a: Iterable[Collection[str]], b: Iterable[Collection[str]]) -> float:
     count_b = Counter(map_b.values())
     joint = Counter((map_a[node], map_b[node]) for node in map_a)
 
+    # fsum: the terms come in an order that string hashing changes per
+    # process, and a correctly rounded sum does not depend on it
     def entropy(counts: Counter) -> float:
-        return -sum((c / n) * math.log(c / n) for c in counts.values())
+        return -math.fsum((c / n) * math.log(c / n) for c in counts.values())
 
     h_a = entropy(count_a)
     h_b = entropy(count_b)
     if h_a == 0.0 or h_b == 0.0:
         # one side is a single block and the partitions differ
         return 0.0
-    info = 0.0
-    for (ca, cb), c in joint.items():
-        info += (c / n) * math.log(n * c / (count_a[ca] * count_b[cb]))
+    info = math.fsum(
+        (c / n) * math.log(n * c / (count_a[ca] * count_b[cb]))
+        for (ca, cb), c in joint.items()
+    )
     return min(1.0, max(0.0, 2.0 * info / (h_a + h_b)))

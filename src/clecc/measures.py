@@ -88,32 +88,29 @@ replaces a tuple, a float and its pointers.
 
 A ``SeededRandom`` draw picks by position among the keys at the
 minimum, listed in the order they took that value since the first
-random draw: first in build order, then as repairs visited them, the
-smaller endpoint first and each endpoint's entries in the order a fresh
-query lists ``MN(e)`` (``_rebuilt``).  ``clecc_table`` fills each
-node's map in its query order, and the build order is the walk of the
-nodes ascending, each over its map's later neighbours.  A map never
-takes a key again, and a deletion keeps the order of the rest, so the
-walk lists the build order of the pairs left.  The order needs no index
-of keys by value:
+random draw: first as that draw found them, then as repairs visited
+them, the smaller endpoint first.  Either way a node's entries are
+listed in the order a fresh query lists ``MN(e)``, and
+``_query_order`` alone gives that order: the table's maps may hold
+their keys in any order.  The first draw walks the nodes ascending,
+each over its later neighbours.  The order needs no index of keys by
+value:
 
 * A key at value 0 has c = 0 and stays at 0 when touched, unless it is
   left as an isolated dyad (value 1).  ``_zeros`` lists these keys: the
-  first draw takes them in build order; a repair appends each shared
-  entry whose count reaches 0 and drops a new dyad; a removed or frozen
-  pair leaves it.
+  first draw takes them in its walk's order; a repair appends each
+  shared entry whose count reaches 0 and drops a new dyad; a removed
+  or frozen pair leaves it.
 * Every touch of a key with c > 0 changes its value: c / den becomes
   (c - 1) / den for a shared entry, c / (den - 1) otherwise.  Counts
   never rise, so such a key had c > 0 at every touch, and a dyad is
   never touched again.  A positive key thus took its value at the last
   repair of either of its nodes.  Each node records its last repair,
   counted from the first draw, so a key's place is (that repair, the
-  node it repaired, the other node's place in that node's rebuilt
-  set).  The set has not changed since, so it is rebuilt only when a
-  draw needs it.  A key that no counted repair touched keeps its build
-  place: its smaller node, then the other's place in that node's build
-  walk, which is that node's map as it stands, since a map keeps the
-  order of what it has left.
+  node it repaired, the other node's place in that node's query).  A
+  key that no counted repair touched keeps its first-draw place: its
+  smaller node, then the other's place in that node's query.  Either
+  query has not changed since, so it is made only when a draw needs it.
 
 A draw at a positive minimum m reads the live keys at m off the lower
 bound heap (see ``_min_ties``), sorts them by place and picks by
@@ -332,22 +329,20 @@ class CleccTable:
             mn[v].clear()
 
     def _rebuilt(self, i: int) -> set[int]:
-        """``MN(i)`` built afresh from the link map, in a new query's order.
-
-        Built key by key: ``_mn[i]`` holds the members in build order,
-        and a query of fewer members can iterate in another (see
-        ``MultiLayerNetwork._query_maps``).
-        """
+        """``MN(i)`` built afresh from the link map, in a new query's order."""
         mn_i = self._mn[i]
         return {z for z in self._links[i] if z in mn_i}
 
-    def _listed(self, t: int, f: int) -> Iterable[int]:
-        """Neighbours of f, in the order a draw lists f's keys last touched at repair t.
+    def _query_order(self, f: int, members: list[int]) -> list[int]:
+        """``members``, neighbours of f, in the order a fresh query lists ``MN(f)``.
 
-        A rebuilt ``MN(f)``; for untouched keys (t = 0), f's map in its
-        build order (see the module docstring).
+        Every ``SeededRandom`` listing of two or more keys of one node
+        comes from here (see the module docstring).
         """
-        return self._rebuilt(f) if t else self._mn[f]
+        if len(members) < 2:
+            return members
+        inside = set(members)
+        return [z for z in self._rebuilt(f) if z in inside]
 
     def _select_min_lex(self) -> int:
         """Key of the smallest (value, key), from the lazy lower-bound heap.
@@ -387,13 +382,13 @@ class CleccTable:
         """
         zeros = self._zeros
         if zeros is None:
-            mn, key = self._mn, self._key
-            # in build order; a count of 0 is a value of 0, or 1 in a dyad
+            mn, key, order = self._mn, self._key, self._query_order
+            # a count of 0 is a value of 0, or 1 in a dyad
             zeros = self._zeros = {
                 key(i, j): None
                 for i, mn_i in enumerate(mn)
-                for j, c in mn_i.items()
-                if j > i and not c and len(mn_i) + len(mn[j]) > 2
+                for j in order(i, [j for j, c in mn_i.items() if j > i and not c])
+                if len(mn_i) + len(mn[j]) > 2
             }
             self._touched = [0] * self._n
         if zeros:
@@ -402,8 +397,8 @@ class CleccTable:
         pick = rng.randrange(len(ties))
         # group the ties by (last repair, the endpoint it repaired): a
         # repair takes its pair's smaller node first; keys untouched
-        # since the first draw sort first, by smaller node, as the maps
-        # were built
+        # since the first draw sort first, by smaller node, as that
+        # draw walked them
         touched, by_rank, n = self._touched, self._by_rank, self._n
         groups: dict[tuple[int, int], list[int]] = {}
         for key in ties:
@@ -413,14 +408,11 @@ class CleccTable:
             if ta < tb or (ta == tb and b < a):
                 a, b, ta = b, a, tb
             groups.setdefault((ta, a), []).append(b)
-        for (t, f), members in sorted(groups.items()):
+        for (_, f), members in sorted(groups.items()):
             if pick < len(members):
                 break
             pick -= len(members)
-        if len(members) > 1:
-            inside = set(members)
-            members = [z for z in self._listed(t, f) if z in inside]
-        return self._key(f, members[pick])
+        return self._key(f, self._query_order(f, members)[pick])
 
     def _min_ties(self) -> list[int]:
         """Live keys at the minimum value, from the lower-bound heap.
@@ -501,8 +493,6 @@ def clecc(net: MultiLayerNetwork, x: str, y: str, alpha: int) -> float:
 def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
     """Evaluate the measure for every pair connected on >= alpha layers."""
     net._check_alpha(alpha)
-    # each map lists its node's neighbours in query order, the order
-    # random draws list untouched pairs in
     mn: list[dict[int, int]] = list(net._query_maps(alpha))
     table = CleccTable(net._node_index, net._node_labels, net._links, mn)
     bits = _bitmasks(mn)
@@ -616,10 +606,7 @@ def _repair(table: CleccTable, pair: tuple[int, int]) -> None:
                 emptied.append(z)
         if zeros is None:
             continue
-        if len(emptied) > 1:
-            inside = set(emptied)
-            emptied = [z for z in table._rebuilt(e) if z in inside]
-        for z in emptied:
+        for z in table._query_order(e, emptied):
             zeros[table._key(e, z)] = None
         if size_e == 1:
             (z,) = mn_e

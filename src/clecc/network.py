@@ -266,37 +266,28 @@ class MultiLayerNetwork:
         return self._links[i].get(j, 0).bit_count()
 
     def _mn_idx(self, i: int, alpha: int) -> set[int]:
-        """Multi-layered neighbourhood of node index i, as indices.
-
-        Built key by key, so it lists its members in query order (see
-        ``_query_maps``).
-        """
+        """Multi-layered neighbourhood of node index i, as indices."""
         linked = _AlphaLinked(self._even_bits, alpha)
         return {j for j, m in self._links[i].items() if linked[m]}
 
     def _query_maps(self, alpha: int) -> Iterator[dict[int, None]]:
         """Each node's ``_mn_idx(i, alpha)`` as a map, made one node at a time.
 
-        A set built key by key iterates in the order its keys hashed
-        into it while it grew; that query order is the one
-        ``SeededRandom`` draws list tied pairs in.  A presized set, as
-        ``set(links)`` makes, iterates in another order, so each map
-        lists the members of such a grown set in its order.  At alpha 1
-        the map is presized from the set, which builds fastest.  At
-        alpha >= 2, where a neighbourhood often holds a few nodes or
-        none, it is grown key by key: 64 B empty and 224 B with one to
-        four keys, where a presized map takes 224 B and 352 B.  The layer
-        count is taken once per distinct link mask.  The detector's
-        table and ``clecc_rows`` at alpha >= 2 read the neighbourhoods
-        from here.
+        At alpha 1 the map is presized from the link map, which builds
+        fastest.  At alpha >= 2, where a neighbourhood often holds a few
+        nodes or none, it is grown key by key: 64 B empty and 224 B with
+        one to four keys, where a presized map takes 224 B and 352 B.
+        The layer count is taken once per distinct link mask.  The
+        detector's table and ``clecc_rows`` at alpha >= 2 read the
+        neighbourhoods from here.
         """
         if alpha == 1:
             for links in self._links:
-                yield dict.fromkeys(set(iter(links)))  # the set grown, not presized
+                yield dict.fromkeys(links)
             return
         linked = _AlphaLinked(self._even_bits, alpha)
         for links in self._links:
-            yield {j: None for j in {j for j, m in links.items() if linked[m]}}
+            yield {j: None for j, m in links.items() if linked[m]}
 
 
 def _label_ranks(label_of: list[str]) -> tuple[list[int], list[int]]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -271,6 +272,22 @@ def test_read_only_output_is_written_as_open_would(barbell_csv, tmp_path, capsys
         assert code == 2 and err.startswith("error: ") and str(dest) in err
         assert dest.read_text() == "earlier\n"
     assert dest.stat().st_mode & 0o777 == 0o444
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["barbell.csv", "out.json"]
+
+
+def test_interrupt_is_one_line_and_leaves_the_output(barbell_csv, tmp_path, capsys, monkeypatch):
+    # Ctrl-C while the new file is written: exit code 130, one line on
+    # stderr, the old file as it was and no new file left
+    dest = tmp_path / "out.json"
+    dest.write_text("earlier\n")
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_result", interrupted)
+    assert detect_to(barbell_csv, dest) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert dest.read_text() == "earlier\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["barbell.csv", "out.json"]
 
 
@@ -918,6 +935,40 @@ def test_closed_stdout_is_a_one_line_error(
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_output_does_not_depend_on_string_hashing(tmp_path):
+    # each child gets its own PYTHONHASHSEED, and so its own iteration
+    # order of every set of labels; nmi adds its terms in such an order
+    rng = random.Random(1)
+    nodes = [f"n{i}" for i in range(3000)]
+    for name, k in (("a", 40), ("b", 60)):
+        blocks = [[] for _ in range(k)]
+        for v in nodes:
+            blocks[rng.randrange(k)].append(v)
+        (tmp_path / f"{name}.json").write_text(json.dumps({"groups": blocks, "singletons": []}))
+    net = generate_planted(
+        PlantedParams(sizes=(12,) * 3, layers=2, p_in=0.5, p_out=0.05, seed=3)
+    ).network
+    (tmp_path / "net.csv").write_text(write_edge_list(net))
+    detect = ["detect", "--input", "net.csv", "--alpha", "1", "--log-removals"]
+    commands = [
+        ["eval", "nmi", "--truth", "a.json", "--predicted", "b.json"],
+        detect,
+        [*detect, "--ties", "random", "--seed", "3"],
+        ["measure", "--input", "net.csv", "--alpha", "2"],
+    ]
+    env = src_env()
+    for argv in commands:
+        printed = set()
+        for hash_seed in ("0", "1", "2", "3", "4", "5"):
+            env["PYTHONHASHSEED"] = hash_seed
+            proc = subprocess.run(
+                [sys.executable, "-m", "clecc", *argv],
+                capture_output=True, cwd=tmp_path, env=env, timeout=120, check=True,
+            )
+            printed.add(proc.stdout)
+        assert len(printed) == 1, (argv, printed)
 
 
 def test_unencodable_output_is_a_one_line_error(tmp_path):

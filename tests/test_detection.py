@@ -180,6 +180,30 @@ class TestDeterminism:
             second = write_result(run_detection(net, config))
             assert first == second
 
+    def test_seeded_random_runs_ignore_the_maps_order(self, monkeypatch):
+        # random ties are listed as fresh queries list them, so maps that
+        # hold their keys in reverse give the same runs
+        runs = [
+            (
+                generate_planted(
+                    PlantedParams(sizes=(12,) * 4, layers=2, p_in=0.5, p_out=0.05, seed=s)
+                ).network,
+                DetectionConfig(alpha=alpha, tie_policy=SeededRandom(seed)),
+            )
+            for s in range(3)
+            for alpha in (1, 2)
+            for seed in range(4)
+        ]
+        expected = [write_result(run_detection(net, config)) for net, config in runs]
+        query_maps = MultiLayerNetwork._query_maps
+
+        def reversed_maps(net, alpha):
+            for map_i in query_maps(net, alpha):
+                yield dict.fromkeys(reversed(map_i))
+
+        monkeypatch.setattr(MultiLayerNetwork, "_query_maps", reversed_maps)
+        assert [write_result(run_detection(net, config)) for net, config in runs] == expected
+
 
 class TestValidateGroup:
     def test_barbell_triangle_is_weak_community(self):

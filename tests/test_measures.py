@@ -766,8 +766,9 @@ class ValueBuckets:
     """Reference model of the SeededRandom draw: eager value buckets.
 
     Each value maps to the keys at that value in the order they took it.
-    The first draw builds the buckets from the table's counts, in their
-    order.  After each repair every entry of both endpoints is
+    The first draw builds the buckets from the live keys, walking the
+    nodes ascending, each over the later neighbours a fresh query of
+    the network lists.  After each repair every entry of both endpoints is
     revisited, the smaller endpoint index first and each endpoint's
     neighbours in the order a fresh query lists them; an entry whose
     value changed moves to the end of its new value's bucket.  A draw
@@ -798,8 +799,12 @@ class ValueBuckets:
     def draw(self, rng):
         if self.buckets is None:
             self.buckets = {}
-            for key in table_keys(self.table):
-                self._put(key, self._value(key))
+            live = set(table_keys(self.table))
+            for i in range(self.net.node_count):
+                for j in self.net._mn_idx(i, self.alpha):
+                    key = self.table._key(i, j)
+                    if j > i and key in live:
+                        self._put(key, self._value(key))
         bucket = list(self.buckets[min(self.buckets)])
         return bucket[rng.randrange(len(bucket))]
 
@@ -907,11 +912,11 @@ class TestRandomSelection:
         }, seen
 
     @pytest.mark.parametrize("alpha", [1, 2])
-    def test_first_draw_after_repairs_lists_the_build_order(self, alpha):
+    def test_first_draw_after_repairs_lists_fresh_queries(self, alpha):
         # public repairs before the first draw shrink some neighbourhoods,
-        # and a rebuilt set of fewer members can iterate in another
-        # order; keys no counted repair touched keep the build's order,
-        # a query of the network as it was, without the keys gone since
+        # and a query of fewer members can iterate in another order than
+        # the build's; the first draw lists each node's keys as a query
+        # of the network as it stands lists them
         net = generate_planted(
             PlantedParams(sizes=(40,) * 5, layers=2, p_in=0.6, p_out=0.02, seed=5)
         ).network
@@ -926,23 +931,20 @@ class TestRandomSelection:
         def live(f, order):
             return [z for z in order if z > f and z in table._mn[f]]
 
-        # each map already lists its build order before the draw
-        before = [live(f, table._mn[f]) for f in range(net.node_count)]
         table._select_min_random(random.Random(0))
-        rebuilt_differs = 0
+        build_differs = 0
         for f in range(net.node_count):
-            built = live(f, net._mn_idx(f, alpha))
-            assert before[f] == built
-            assert live(f, table._listed(0, f)) == built
-            rebuilt_differs += live(f, table._rebuilt(f)) != built
+            fresh = live(f, work._mn_idx(f, alpha))
+            assert table._query_order(f, live(f, table._mn[f])) == fresh
+            build_differs += live(f, net._mn_idx(f, alpha)) != fresh
         # the input tells the two orders apart
-        assert rebuilt_differs
+        assert build_differs
 
-    def test_first_listing_is_the_build_walk(self):
+    def test_first_listing_is_the_query_walk(self):
         # the first draw lists the value-0 keys, and with or without
         # early repairs each node's untouched keys, as a walk of the
-        # nodes ascending, each over its query set of the network as
-        # built, keeping the later neighbours it is still joined to
+        # nodes ascending, each over its later neighbours in a query of
+        # the network as it stands
         rng = random.Random(45)
         nets = [random_network(rng, max_nodes=28, max_layers=2) for _ in range(12)]
         nets += [
@@ -965,10 +967,9 @@ class TestRandomSelection:
                 if not len(table):
                     continue
                 table._select_min_random(random.Random(0))
-                walk = []
-                for i in range(net.node_count):
-                    joined = work._mn_idx(i, alpha)
-                    walk.append([j for j in net._mn_idx(i, alpha) if j > i and j in joined])
+                walk = [
+                    [j for j in work._mn_idx(i, alpha) if j > i] for i in range(net.node_count)
+                ]
                 zeros = [
                     table._key(i, j)
                     for i, later in enumerate(walk)
@@ -977,7 +978,10 @@ class TestRandomSelection:
                 ]
                 assert list(table._zeros) == zeros
                 seen["zeros"] += len(zeros) > 1
-                listed = [[j for j in table._listed(0, i) if j > i] for i in range(net.node_count)]
+                listed = [
+                    table._query_order(i, [j for j in table._mn[i] if j > i])
+                    for i in range(net.node_count)
+                ]
                 assert listed == walk
                 seen["early repairs" if repairs else "no repair"] += 1
         assert min(seen[k] for k in ("zeros", "early repairs", "no repair")) >= 5, seen
