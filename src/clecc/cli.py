@@ -25,7 +25,6 @@ import os
 import stat
 import sys
 from itertools import count, islice
-from pathlib import Path
 from typing import Callable, TextIO
 
 from . import __version__
@@ -316,8 +315,11 @@ def _cmd_generate_scenario(args) -> str:
 
 def _read_partition(path: str, flag: str) -> list[set[str]]:
     """The partition in a JSON file; its errors name the flag that gave it."""
-    try:  # utf-8-sig: spreadsheet and editor exports may start with a BOM
-        return partition_from_json(Path(path).read_text(encoding="utf-8-sig"))
+    # utf-8-sig: spreadsheet and editor exports may start with a BOM
+    with open(path, encoding="utf-8-sig") as handle:
+        text = handle.read()
+    try:
+        return partition_from_json(text)
     except MalformedPartitionError as exc:
         raise CleccError(f"{flag}: {exc}") from None
 

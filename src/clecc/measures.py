@@ -31,19 +31,21 @@ is nearer its fraction than any other with denominator <= N.  So
 ``CleccTable.value`` and ``min_value`` return the exact
 :class:`fractions.Fraction` via ``limit_denominator(n)``, and ``items``
 yields the derived floats in sorted pair order, each pair label-sorted.
-``clecc_rows`` derives each float from the same count by the same
-formula and checks the same limit before its first row, so the argument
-covers its values too; it walks the nodes by label rank, as ``items``
-does, over per-node maps keyed by the neighbours: at alpha 1 the link
-maps themselves, at higher alphas maps made as the table makes its own.
+One walk, ``_walk``, yields the rows of ``items`` and ``clecc_rows``:
+the nodes by label rank, each with its higher-rank neighbours by rank,
+each float derived from a count by the same formula.  ``items`` reads
+the stored counts.  ``clecc_rows`` counts afresh with the counter that
+fills the table, over the link maps at alpha 1 and over maps made as
+the table makes its own at higher alphas; it checks the same limit
+before its first row, so the argument covers its values too.
 
-``clecc_table`` counts common neighbours with bitmasks where a bitmask
-is about as large as the neighbour map it sits beside, or smaller.  A
-node with at least n / 256 alpha-neighbours gets an int whose bit j is
-set for each neighbour index j; a pair of two such nodes counts
-``(bits_i & bits_j).bit_count()``, any other pair intersects the two
-neighbourhoods.  An n-bit int takes about n / 8 bytes and a map 30 to
-50 bytes per member, so at least n / 8.5 bytes here; a sparse input
+The counter, ``_counter``, counts common neighbours with bitmasks where
+a bitmask is about as large as the neighbour map it sits beside, or
+smaller.  A node with at least n / 256 alpha-neighbours gets an int
+whose bit j is set for each neighbour index j; a pair of two such nodes
+counts ``(bits_i & bits_j).bit_count()``, any other pair intersects the
+two neighbourhoods.  An n-bit int takes about n / 8 bytes and a map 30
+to 50 bytes per member, so at least n / 8.5 bytes here; a sparse input
 builds no bitmask.
 
 The repair after a removal intersects no sets per entry.  Removing
@@ -123,7 +125,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import islice
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator
 
 from .errors import (
     EmptyTableError,
@@ -177,17 +179,46 @@ def _bitmasks(mn: list[Collection[int]]) -> dict[int, int]:
     return masks
 
 
-def _rank_walk(
-    mn: list[Collection[int]], rank: list[int], by_rank: list[int]
-) -> Iterator[tuple[int, list[int]]]:
-    """Each node in label-rank order, with its higher-rank neighbours by rank.
+def _counter(mn: list[dict]) -> Callable[[int, list[int]], list[int]]:
+    """Common-neighbour counts of a node with each of a list of its neighbours.
 
-    A pair keyed over label ranks sorts as its label pair does, so the
-    pairs (node, neighbour) come in table key order: label-sorted pairs,
-    in sorted order.
+    Built once per adjacency: a pair of two nodes with bitmasks counts
+    by popcount, any other pair intersects the two maps' keys.
     """
+    bits = _bitmasks(mn)
+
+    def counts(i: int, others: list[int]) -> list[int]:
+        keys_i, bits_i = mn[i].keys(), bits.get(i)
+        if bits_i is None:
+            return [len(keys_i & mn[j].keys()) for j in others]
+        return [
+            (bits_i & bits[j]).bit_count() if j in bits else len(keys_i & mn[j].keys())
+            for j in others
+        ]
+
+    return counts
+
+
+def _walk(
+    mn: list[Collection[int]],
+    labels: list[str],
+    ranks: tuple[list[int], list[int]],
+    counts: Callable[[int, list[int]], Iterable[int]],
+) -> Iterator[tuple[tuple[str, str], float]]:
+    """Yield ((label_a, label_b), value) of every pair of ``mn``, in table key order.
+
+    The nodes come by label rank, each with its higher-rank neighbours
+    by rank; a pair keyed over label ranks sorts as its label pair does,
+    so the pairs come label-sorted, in sorted order.  ``counts(i, js)``
+    gives the common-neighbour counts of i with each of js.
+    """
+    by_rank, rank = ranks
     for lo, i in enumerate(by_rank):
-        yield i, [by_rank[hi] for hi in sorted(rank[j] for j in mn[i] if rank[j] > lo)]
+        mn_i, label_i = mn[i], labels[i]
+        size_i = len(mn_i)
+        higher = [by_rank[hi] for hi in sorted(rank[j] for j in mn_i if rank[j] > lo)]
+        for j, c in zip(higher, counts(i, higher)):
+            yield (label_i, labels[j]), _candidate_value(c, size_i, len(mn[j]))
 
 
 def _check_float_exact(n: int) -> None:
@@ -260,15 +291,10 @@ class CleccTable:
     def items(self) -> Iterator[tuple[tuple[str, str], float]]:
         """Yield ((label_a, label_b), value), each pair label-sorted, in pair order.
 
-        ``clecc_rows``'s rank walk over the table's own adjacency, each
-        value derived from the stored count by ``_candidate_value``.
+        The rows of ``clecc_rows``, each value derived from its stored count.
         """
-        mn, labels = self._mn, self._label_of
-        for i, higher in _rank_walk(mn, self._rank, self._by_rank):
-            mn_i, label_i = mn[i], labels[i]
-            size_i = len(mn_i)
-            for j in higher:
-                yield (label_i, labels[j]), _candidate_value(mn_i[j], size_i, len(mn[j]))
+        mn, ranks = self._mn, (self._by_rank, self._rank)
+        return _walk(mn, self._label_of, ranks, lambda i, js: map(mn[i].__getitem__, js))
 
     def pairs(self) -> list[tuple[str, str]]:
         return [pair for pair, _ in self.items()]
@@ -328,21 +354,17 @@ class CleccTable:
                         zeros.pop(self._key(v, w), None)
             mn[v].clear()
 
-    def _rebuilt(self, i: int) -> set[int]:
-        """``MN(i)`` built afresh from the link map, in a new query's order."""
-        mn_i = self._mn[i]
-        return {z for z in self._links[i] if z in mn_i}
-
     def _query_order(self, f: int, members: list[int]) -> list[int]:
         """``members``, neighbours of f, in the order a fresh query lists ``MN(f)``.
 
+        That is the order of ``MN(f)`` rebuilt as a set from the link map.
         Every ``SeededRandom`` listing of two or more keys of one node
         comes from here (see the module docstring).
         """
         if len(members) < 2:
             return members
-        inside = set(members)
-        return [z for z in self._rebuilt(f) if z in inside]
+        inside, mn_f = set(members), self._mn[f]
+        return [z for z in {z for z in self._links[f] if z in mn_f} if z in inside]
 
     def _select_min_lex(self) -> int:
         """Key of the smallest (value, key), from the lazy lower-bound heap.
@@ -495,21 +517,15 @@ def clecc_table(net: MultiLayerNetwork, alpha: int) -> CleccTable:
     net._check_alpha(alpha)
     mn: list[dict[int, int]] = list(net._query_maps(alpha))
     table = CleccTable(net._node_index, net._node_labels, net._links, mn)
-    bits = _bitmasks(mn)
+    counts = _counter(mn)
     for i, mn_i in enumerate(mn):
-        keys_i, bits_i = mn_i.keys(), bits.get(i)
-        for j in mn_i:
-            if j > i:
-                if bits_i is None or j not in bits:
-                    mn_i[j] = mn[j][i] = len(keys_i & mn[j].keys())
-                else:
-                    mn_i[j] = mn[j][i] = (bits_i & bits[j]).bit_count()
+        later = [j for j in mn_i if j > i]
+        for j, c in zip(later, counts(i, later)):
+            mn_i[j] = mn[j][i] = c
     return table
 
 
-def clecc_rows(
-    net: MultiLayerNetwork, alpha: int
-) -> Iterator[tuple[tuple[str, str], float]]:
+def clecc_rows(net: MultiLayerNetwork, alpha: int) -> Iterator[tuple[tuple[str, str], float]]:
     """The rows of ``clecc_table(net, alpha).items()``, built without a table.
 
     Same pairs, values and order; no count is stored and, at alpha 1,
@@ -520,26 +536,8 @@ def clecc_rows(
     """
     net._check_alpha(alpha)
     _check_float_exact(net.node_count)
-    return _rows(net, alpha)
-
-
-def _rows(net: MultiLayerNetwork, alpha: int) -> Iterator[tuple[tuple[str, str], float]]:
-    labels = net._node_labels
-    if alpha == 1:  # every linked pair is a candidate
-        mn = net._links
-    else:
-        mn = list(net._query_maps(alpha))
-    by_rank, rank = _label_ranks(labels)
-    bits = _bitmasks(mn)
-    for i, higher in _rank_walk(mn, rank, by_rank):
-        keys_i, label_i, bits_i = mn[i].keys(), labels[i], bits.get(i)
-        size_i = len(keys_i)
-        for j in higher:
-            if bits_i is None or j not in bits:
-                c = len(keys_i & mn[j].keys())
-            else:
-                c = (bits_i & bits[j]).bit_count()
-            yield (label_i, labels[j]), _candidate_value(c, size_i, len(mn[j]))
+    mn = net._links if alpha == 1 else list(net._query_maps(alpha))
+    return _walk(mn, net._node_labels, _label_ranks(net._node_labels), _counter(mn))
 
 
 def update_after_removal(

@@ -541,6 +541,25 @@ class TestUpdateAfterRemoval:
                     update_after_removal(table, work, *pair)
                     assert table.as_dict() == clecc_table(work, alpha).as_dict()
 
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_repaired_rows_come_in_stream_order(self, alpha):
+        # as_dict ignores order: a repaired table must list its rows as
+        # clecc_rows streams them from the repaired network
+        rng = random.Random(40 + alpha)
+        base = random_network(rng, max_nodes=40, max_layers=3)
+        while base.layer_count < 2:
+            base = random_network(rng, max_nodes=40, max_layers=3)
+        hubs = [("h0", "h1"), ("h2", "p0340"), ("h1", "h3"), ("h3", "p0490")]
+        for work, first in [(hub_path(), hubs), (shuffled_labels(base, alpha), [])]:
+            table = clecc_table(work, alpha)
+            for step in range(60):
+                if not len(table):
+                    break
+                pair = first[step] if step < len(first) else rng.choice(table.pairs())
+                work.remove_pair_edges(*pair)
+                update_after_removal(table, work, *pair)
+                assert list(table.items()) == list(clecc_rows(work, alpha))
+
     def test_pair_order_does_not_matter(self):
         # the repair orders its pair itself: (x, y) and (y, x) leave the
         # same counts, the same lex pick and the same next random draw,
@@ -568,9 +587,9 @@ class TestUpdateAfterRemoval:
                         assert lex[0] == lex[1]
 
     def test_adjacency_matches_a_fresh_query(self):
-        # set contents, and the iteration order of each node's rebuilt
-        # set, which must be a fresh query's: SeededRandom draws read
-        # ties in that order
+        # set contents, and the order _query_order lists a node's whole
+        # neighbourhood in, which must be a fresh query's: SeededRandom
+        # draws read ties in that order
         rng = random.Random(32)
         for _ in range(12):
             net = random_network(rng, max_nodes=24, max_layers=3)
@@ -585,8 +604,8 @@ class TestUpdateAfterRemoval:
                     update_after_removal(table, work, *pair)
                     fresh = list(work._query_maps(alpha))
                     assert [mn_v.keys() for mn_v in table._mn] == [q.keys() for q in fresh]
-                    rebuilt = [list(table._rebuilt(v)) for v in range(len(fresh))]
-                    assert rebuilt == [list(work._mn_idx(v, alpha)) for v in range(len(fresh))]
+                    listed = [table._query_order(v, list(table._mn[v])) for v in range(len(fresh))]
+                    assert listed == [list(work._mn_idx(v, alpha)) for v in range(len(fresh))]
 
 
 def scaled(value):

@@ -4,8 +4,8 @@
 its module on first use.  A ``detect`` or ``measure`` job loads only
 what it runs, so it never imports ``dataclasses`` (which pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``), ``fractions`` (which
-pulls in ``decimal``), the generators, NMI scoring or, without
-``--oracle``, the naive reference.
+pulls in ``decimal``), ``pathlib``, the generators, NMI scoring or,
+without ``--oracle``, the naive reference.
 """
 
 import ast
@@ -38,6 +38,7 @@ NOT_LOADED = [
     "inspect",
     "fractions",
     "decimal",
+    "pathlib",
     "clecc.generators",
     "clecc.evaluation",
     "clecc.reference",
@@ -80,10 +81,14 @@ def test_unknown_attribute_raises():
 
 
 def loaded_modules(code: str) -> set[str]:
-    """``sys.modules`` of a fresh interpreter once ``code`` has run."""
+    """``sys.modules`` of a fresh interpreter once ``code`` has run.
+
+    The child skips ``site`` (``-S``): a ``.pth`` hook there may import
+    modules of its own, which would hide the same imports by the package.
+    """
     script = f"import sys\n{code}\nprint(sorted(sys.modules), file=sys.stderr)\n"
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, env=src_env(), timeout=120
+        [sys.executable, "-S", "-c", script], capture_output=True, env=src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
     return set(ast.literal_eval(proc.stderr.decode().splitlines()[-1]))
