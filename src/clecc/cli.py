@@ -24,8 +24,9 @@ import json
 import os
 import stat
 import sys
+from collections.abc import Callable
+from io import TextIOBase
 from itertools import count, islice
-from typing import Callable, TextIO
 
 from . import __version__
 from .detection import (
@@ -155,7 +156,7 @@ def _read_network(args):
     return parsed.network
 
 
-def _cmd_detect(args) -> Callable[[TextIO], None]:
+def _cmd_detect(args) -> Callable[[TextIOBase], None]:
     if args.ties == "random":
         if args.seed is None:
             raise InvalidParamsError("--ties random requires an explicit --seed")
@@ -185,7 +186,7 @@ def _cmd_detect(args) -> Callable[[TextIO], None]:
             )
         print("oracle check passed", file=sys.stderr)
 
-    def write(handle: TextIO) -> None:
+    def write(handle: TextIOBase) -> None:
         write_result(result, pretty=True, file=handle)
         handle.write("\n")
 
@@ -201,7 +202,7 @@ def _parse_pair(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _cmd_measure(args) -> str | Callable[[TextIO], None]:
+def _cmd_measure(args) -> str | Callable[[TextIOBase], None]:
     pair = None if args.pair is None else _parse_pair(args.pair)
     net = _read_network(args)
     if not net.edge_count:
@@ -228,7 +229,7 @@ def _cmd_measure(args) -> str | Callable[[TextIO], None]:
                 )
         rows = clecc_rows(net, args.alpha)
 
-    def write(handle: TextIO) -> None:
+    def write(handle: TextIOBase) -> None:
         _check_encodable(net, args.alpha, handle)
         # few values are distinct, so each one's text is made once
         texts = _ValueTexts()
@@ -241,7 +242,7 @@ def _cmd_measure(args) -> str | Callable[[TextIO], None]:
     return write
 
 
-def _check_encodable(net, alpha: int, handle: TextIO) -> None:
+def _check_encodable(net, alpha: int, handle: TextIOBase) -> None:
     """Raise ``UnicodeEncodeError`` if a label of a table row cannot go to ``handle``.
 
     Called before the table's first byte, so a failed ``measure`` writes
@@ -340,7 +341,7 @@ def _cmd_eval_nmi(args) -> str:
     return f"{score}\n"
 
 
-def _emit(body: str | Callable[[TextIO], None], handle: TextIO) -> None:
+def _emit(body: str | Callable[[TextIOBase], None], handle: TextIOBase) -> None:
     """Write a handler's result: its text, or what its writer streams."""
     if isinstance(body, str):
         handle.write(body)
@@ -348,7 +349,7 @@ def _emit(body: str | Callable[[TextIO], None], handle: TextIO) -> None:
         body(handle)
 
 
-def _write_files(files: dict[str, str | Callable[[TextIO], None]]) -> None:
+def _write_files(files: dict[str, str | Callable[[TextIOBase], None]]) -> None:
     """Write every file of a command, or leave each target it replaces as it was.
 
     A body whose target can be replaced losing nothing (``_replaceable``)

@@ -37,9 +37,8 @@ flattening of the original network.
 
 from __future__ import annotations
 
-import random
+from collections.abc import Callable, Iterable
 from functools import partial
-from typing import Callable, Iterable, Union
 
 from ._record import FrozenRecord, Record
 from .errors import EmptyNetworkError, InvalidParamsError
@@ -88,7 +87,7 @@ class StrongCommunity(FrozenRecord):
     __slots__ = ()
 
 
-ValidityCondition = Union[MinSize, WeakCommunity, StrongCommunity]
+ValidityCondition = MinSize | WeakCommunity | StrongCommunity
 
 
 class Lexicographic(FrozenRecord):
@@ -108,7 +107,7 @@ class SeededRandom(FrozenRecord):
             raise InvalidParamsError(f"seed must be >= 0, got {seed}")
 
 
-TiePolicy = Union[Lexicographic, SeededRandom]
+TiePolicy = Lexicographic | SeededRandom
 
 
 class DetectionConfig(FrozenRecord):
@@ -243,6 +242,8 @@ def _selector(
     if isinstance(policy, Lexicographic):
         return table._select_min_lex
     if isinstance(policy, SeededRandom):
+        import random  # here, so a job with lexicographic ties never loads it
+
         return partial(table._select_min_random, rng or random.Random(policy.seed))
     raise TypeError(f"not a tie policy: {policy!r}")
 

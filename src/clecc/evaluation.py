@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Collection, Iterable
+from collections.abc import Collection, Iterable
 
 from .errors import DomainMismatchError
 

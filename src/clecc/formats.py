@@ -21,10 +21,11 @@ equal detection results always serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable
+from io import TextIOBase
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Callable, Iterable, TextIO
 
 from ._record import Record
 from .detection import DetectionResult, SeededRandom, validity_tag
@@ -48,8 +49,6 @@ __all__ = [
 ]
 
 _HEADER_FIELDS = ("source", "target", "layer")
-# encoder chunks joined per write by write_result(..., file=...)
-_WRITE_BATCH = 4096
 # removal records per write of the indented form
 _REMOVAL_BATCH = 256
 
@@ -201,7 +200,7 @@ def result_to_dict(result: DetectionResult) -> dict:
 
 
 def write_result(
-    result: DetectionResult, pretty: bool = False, file: TextIO | None = None
+    result: DetectionResult, pretty: bool = False, file: TextIOBase | None = None
 ) -> str | None:
     """JSON text for a detection result; equal results give equal bytes.
 
@@ -210,7 +209,7 @@ def write_result(
     fixed template (see ``_write_pretty``); with ``file`` it goes out
     in batches of records, so the text of a long removal log is never
     held whole.  The compact form is the standard encoder's, written
-    in batches of its chunks.
+    in one piece.
     """
     if pretty:
         if file is not None:
@@ -219,13 +218,10 @@ def write_result(
         parts: list[str] = []
         _write_pretty(result, parts.append)
         return "".join(parts)
-    encoder = json.JSONEncoder(separators=(",", ":"))
-    payload = result_to_dict(result)
+    text = json.JSONEncoder(separators=(",", ":")).encode(result_to_dict(result))
     if file is None:
-        return encoder.encode(payload)
-    chunks = encoder.iterencode(payload)
-    while batch := "".join(islice(chunks, _WRITE_BATCH)):
-        file.write(batch)
+        return text
+    file.write(text)
     return None
 
 

@@ -123,9 +123,8 @@ key as the eager index did.
 from __future__ import annotations
 
 import heapq
-import random
+from collections.abc import Callable, Collection, Iterable, Iterator
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator
 
 from .errors import (
     EmptyTableError,
@@ -134,9 +133,6 @@ from .errors import (
     TooManyNodesError,
 )
 from .network import MultiLayerNetwork, _label_ranks
-
-if TYPE_CHECKING:  # imported where used, so importing this module skips it
-    from fractions import Fraction
 
 __all__ = ["CleccTable", "ecc", "clecc", "clecc_table", "update_after_removal"]
 

@@ -19,7 +19,7 @@ queries are single scans of one dict.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import (
     AlphaOutOfRangeError,

@@ -16,6 +16,8 @@ from clecc import (
     PlantedParams,
     SeededRandom,
     StrongCommunity,
+    TiePolicy,
+    ValidityCondition,
     WeakCommunity,
     clecc,
     clecc_table,
@@ -259,6 +261,21 @@ class TestValidateGroup:
                 if edges:
                     net.remove_pair_edges(*rng.choice(edges)[:2])
         assert len(verdicts) == 2 * len(conditions)
+
+
+class TestPolicyAliases:
+    """``ValidityCondition`` and ``TiePolicy`` name their members for ``isinstance``."""
+
+    VALIDITY = [MinSize(2), WeakCommunity(), StrongCommunity()]
+    TIES = [Lexicographic(), SeededRandom(0)]
+
+    def test_members_are_instances(self):
+        assert all(isinstance(c, ValidityCondition) for c in self.VALIDITY)
+        assert all(isinstance(t, TiePolicy) for t in self.TIES)
+
+    def test_neither_alias_takes_the_others_members(self):
+        assert not any(isinstance(c, TiePolicy) for c in self.VALIDITY)
+        assert not any(isinstance(t, ValidityCondition) for t in self.TIES)
 
 
 class TestSelectMinPair:

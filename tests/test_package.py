@@ -4,8 +4,9 @@
 its module on first use.  A ``detect`` or ``measure`` job loads only
 what it runs, so it never imports ``dataclasses`` (which pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``), ``fractions`` (which
-pulls in ``decimal``), ``pathlib``, the generators, NMI scoring or,
-without ``--oracle``, the naive reference.
+pulls in ``decimal``), ``pathlib``, ``typing``, the generators, NMI
+scoring or, without ``--oracle``, the naive reference.  It loads
+``random`` only for ``--ties random``.
 """
 
 import ast
@@ -39,6 +40,8 @@ NOT_LOADED = [
     "fractions",
     "decimal",
     "pathlib",
+    "typing",
+    "random",
     "clecc.generators",
     "clecc.evaluation",
     "clecc.reference",
@@ -137,11 +140,11 @@ def test_import_cli_stays_within_budget(bare):
     assert sorted(set(NOT_LOADED) & added) == []
 
 
-@pytest.mark.parametrize("command", ["detect", "measure"])
-def test_cli_job_stays_within_budget(bare, command, tmp_path):
+def job_modules(bare, tmp_path, *args: str) -> set[str]:
+    """Modules a ``clecc`` job run through ``runpy`` adds to ``bare``."""
     path = tmp_path / "net.csv"
     path.write_text("a,b,l1\nb,c,l1\nc,a,l1\nc,d,l1\n", encoding="utf-8")
-    argv = ["clecc", command, "--input", str(path), "--alpha", "1"]
+    argv = ["clecc", *args, "--input", str(path), "--alpha", "1"]
     code = (
         "import runpy\n"
         f"sys.argv = {argv!r}\n"
@@ -151,9 +154,19 @@ def test_cli_job_stays_within_budget(bare, command, tmp_path):
         "    assert not exc.code, exc.code\n"
         "sys.stdout.flush()"
     )
-    added = loaded_modules(code) - bare
+    return loaded_modules(code) - bare
+
+
+@pytest.mark.parametrize("command", ["detect", "measure"])
+def test_cli_job_stays_within_budget(bare, command, tmp_path):
+    added = job_modules(bare, tmp_path, command)
     assert {"clecc.cli", "clecc.formats", "clecc.measures"} <= added
     assert sorted(set(NOT_LOADED) & added) == []
+
+
+def test_random_ties_load_random(bare, tmp_path):
+    added = job_modules(bare, tmp_path, "detect", "--ties", "random", "--seed", "1")
+    assert "random" in added
 
 
 SOURCES = Path(clecc.__file__).parent
